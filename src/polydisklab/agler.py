@@ -1,21 +1,27 @@
-"""Polydisk Pick interpolation by Agler-decomposition feasibility.
+"""Polydisk Pick interpolation by Agler decompositions.
 
-At norm level t the data {lambda_i -> w_i} admits a decomposition
-certificate when Hermitian PSD matrices Gamma^1..Gamma^d solve
+The data {lambda_i -> w_i} has a decomposition at norm level t when
+Hermitian PSD matrices Gamma^1..Gamma^d solve
 
     1 - (w_i / t) conj(w_j / t) = sum_r (1 - lambda_i^r conj(lambda_j^r)) Gamma^r_ij
 
-entrywise.  Infeasibility is certified by a positive definite
-unit-diagonal kernel K for which [(1 - (w_i/t) conj(w_j/t)) K_ij] has a
-clearly negative eigenvalue while every [(1 - lambda_i^r conj(lambda_j^r)) K_ij]
-stays PSD; both sides of the alternative are re-verified independently of
-the solver that produced them.
+entrywise.  With s = 1 / t^2 the equation reads sum_r M^r o Gamma^r + s w w* = J,
+which is linear in (Gamma, s).  So one barrier maximization of s over Gamma^r > 0
+answers every level at once: the minimal level is 1 / sqrt(s*).  The path starts
+at Gamma^r = S^r / d, s = 0, with S^r the coordinate Szego kernel, and every Newton
+step stays exactly on the equality constraints (Gamma^1 is eliminated; the reduced
+Newton system is solved by QR of the Hessian's square root).  Along the
+path each nearly centred iterate gives a strictly feasible s from below and, from
+its Newton step, a dual Y with M^r-bar o Y >= 0 whose value s + gap bounds s* from
+above (Boyd & Vandenberghe, Convex Optimization, sections 10-11).
 
-The engine is alternating projections (Dykstra corrections) between the
-affine reconstruction subspace and the PSD product cone.  Probes that
-the projections leave undecided escalate to a barrier-Newton refiner on
-the same feasibility program; its certificates pass through the same
-verification.  Undecided remains a first-class outcome.
+Both sides of the alternative at a level t come from that path: once s >= 1/t^2 a
+convex combination of the iterate and the start is an exact decomposition, and once
+s + gap < 1/t^2 the dual Y is an infeasibility kernel: a positive definite
+unit-diagonal K with every [(1 - lambda_i^r conj(lambda_j^r)) K_ij] PSD and
+[(1 - (w_i/t) conj(w_j/t)) K_ij] clearly indefinite.  Both certificates are
+re-verified independently of the solver; a level the path cannot separate from
+the minimal one stays undecided.
 """
 
 from __future__ import annotations
@@ -23,16 +29,10 @@ from __future__ import annotations
 import dataclasses
 
 import numpy as np
+from scipy.linalg import solve_triangular
 
 from .disk_geometry import check_poly_point
 from .errors import DegenerateDataError, DomainError, UndecidedError
-
-# Alternating-projections defaults: iteration budget, how often to test
-# for certificates, and the displacement-change threshold that declares
-# a stall.
-DYKSTRA_BUDGET = 200000
-CHECK_EVERY = 25
-STALL_TOL = 1e-13
 
 # Certificate acceptance: PSD slack for decomposition factors, entrywise
 # reconstruction residual, and the violation a dual kernel must exhibit.
@@ -40,11 +40,23 @@ GAMMA_PSD_TOL = -1e-9
 RECON_TOL = 1e-7
 VIOLATION_TOL = -1e-8
 
-# Norm bisection tolerance.
-NORM_TOL = 1e-5
+# Relative width of the [lower bound, returned value] bracket at which the
+# norm is accepted.
+NORM_RTOL = 1e-9
 
-# Largest point count the dense solvers accept.
-MAX_NODES = 64
+# Barrier path: Newton steps before giving up, the squared decrement below
+# which an iterate counts as centred, the factor the barrier weight grows by
+# then, and the decrement at which the dual bound is read off.
+NEWTON_BUDGET = 300
+CENTRED = 0.25
+TAU_GROWTH = 20.0
+DUAL_DECREMENT = 0.99
+
+# Largest point count the solvers accept.  On d=2 retract data (nodes of
+# modulus <= 0.75, pseudo-hyperbolic separation >= 0.2, exact norm 1) every
+# draw tried closes the norm bracket to NORM_RTOL up to 12 nodes, in about
+# half a second; from 13 nodes rounding leaves some brackets just above it.
+MAX_NODES = 12
 
 CAVEAT_D3 = "schur-agler-upper-bound"
 
@@ -122,6 +134,8 @@ class Infeasible:
     kernel: DualKernel
 
 
+
+
 def _herm(X):
     return 0.5 * (X + np.conj(np.swapaxes(X, -1, -2)))
 
@@ -190,248 +204,204 @@ def _polish_dual(M0, b0, N):
     return None
 
 
-def _dykstra(M0, b0, max_iter, check_every=CHECK_EVERY):
-    """Alternating projections with Dykstra correction.
+def _hbasis(n):
+    """Orthonormal basis of the n x n Hermitian matrices.
 
-    Projects between the affine reconstruction subspace and the PSD
-    product cone; every check_every sweeps it tests the current iterate
-    for a feasibility certificate and the displacement vector for an
-    infeasibility certificate.  Returns one of
-    ('feasible', Gammas, None), ('infeasible', K, viol),
-    ('undecided', diagnostics, None).
+    Element a is coef[0, a] E[idx[0, a]] + coef[1, a] E[idx[1, a]] on
+    row-major flat indices: the diagonal units, then (E_ij + E_ji)/sqrt 2
+    and i (E_ij - E_ji)/sqrt 2 for i < j.
     """
-    d, n, _ = M0.shape
-    denom = np.sum(np.abs(M0) ** 2, axis=0)
-    Mc = np.conj(M0)
+    dg = np.arange(n) * (n + 1)
+    iu, ju = np.triu_indices(n, 1)
+    up, lo = iu * n + ju, ju * n + iu
+    half, s2 = np.full(n, 0.5), np.full(len(iu), np.sqrt(0.5))
+    idx = np.array([np.concatenate([dg, up, up]), np.concatenate([dg, lo, lo])])
+    coef = np.array([np.concatenate([half, s2, 1j * s2]),
+                     np.concatenate([half, s2, -1j * s2])])
+    return idx, coef
 
-    def paff(X):
-        r = np.sum(M0 * X, axis=0) - b0
-        return X - Mc * (r / denom)[None, :, :]
 
-    def ppsd(X):
-        w, V = np.linalg.eigh(_herm(X))
-        return (V * np.maximum(w, 0.0)[..., None, :]) @ np.conj(
-            np.swapaxes(V, -1, -2)
-        )
+def _hvec(X, basis):
+    idx, coef = basis
+    x = X.reshape(-1)
+    return np.real(np.conj(coef[0]) * x[idx[0]] + np.conj(coef[1]) * x[idx[1]])
 
-    X = paff(np.zeros((d, n, n), dtype=complex))
-    P = np.zeros_like(X)
-    prev_v = None
-    last = {"min_eig": None, "recon": None}
-    it = 0
-    while it < max_iter:
-        it += 1
-        Y = ppsd(X + P)
-        P = X + P - Y
-        X = paff(Y)
-        if it % check_every == 0 or it == 1:
-            me = float(np.linalg.eigvalsh(_herm(X)).min())
-            last["min_eig"] = me
-            if me >= -2e-9:
-                Gam = ppsd(X)
-                recon = float(np.abs(np.sum(M0 * Gam, axis=0) - b0).max())
-                last["recon"] = recon
-                if recon <= RECON_TOL:
-                    return ("feasible", Gam, None)
-            v = X - Y
-            cand = -np.conj(np.sum(v * M0, axis=0) / denom)
-            pol = _polish_dual(M0, b0, cand)
-            if pol is not None:
-                return ("infeasible", pol[0], pol[1])
-            if prev_v is not None and np.linalg.norm(v - prev_v) < STALL_TOL:
+
+def _hmat(v, basis, n):
+    idx, coef = basis
+    x = np.zeros(n * n, dtype=complex)
+    np.add.at(x, idx[0], coef[0] * v)
+    np.add.at(x, idx[1], coef[1] * v)
+    return x.reshape(n, n)
+
+
+def _scaled_form(Li, basis, cols):
+    """Real matrix of X -> Li X Li* from the span of F into the Hermitian
+    basis, for F whose column a is c[0, a] E[i[0, a]] + c[1, a] E[i[1, a]]
+    with cols = (i, c).  With Li the inverse Cholesky factor of Gamma, its
+    Gram matrix is the real form of the -log det Hessian, conj(W) kron W
+    with W = inv(Gamma), restricted to F."""
+    (li, lc), (ri, rc) = basis, cols
+    K = np.kron(Li, np.conj(Li))
+    KF = K[:, ri[0]] * rc[0] + K[:, ri[1]] * rc[1]
+    return np.real(np.conj(lc[0])[:, None] * KF[li[0]] + np.conj(lc[1])[:, None] * KF[li[1]])
+
+
+def _central_path(M, B, gammas, s):
+    """Barrier path of  max s  s.t.  sum_r M^r o Gamma^r + s B = J,  Gamma^r > 0.
+
+    Starts from the strictly feasible point (gammas, s).  Gamma^1 is
+    eliminated as S^1 o (J - s B - sum_{r>1} M^r o Gamma^r), so every
+    iterate satisfies the constraints to rounding; Newton steps run over
+    (Gamma^2..Gamma^d, s).  The reduced Hessian is A^T A, with A stacking
+    the maps dGamma^r -> inv(L^r) dGamma^r inv(L^r)*, and is factored by
+    QR of A, which keeps the late, badly conditioned steps accurate.
+
+    After each step computation it yields (s, gap, gammas, Y): when the
+    Newton decrement is below 1, Y is the dual point from that step
+    (<Y, B> = 1 and every conj(M^r) o Y PSD) and s <= s* <= s + gap;
+    otherwise gap is inf and Y None.  Raises UndecidedError, with the
+    last bracket, when the Newton budget runs out or a barrier block
+    stops being positive definite.
+    """
+    d, n, _ = M.shape
+    S0 = 1.0 / M[0]
+    J = np.ones((n, n))
+    P = S0[None] * M[1:]
+    PB = S0 * B
+    basis = _hbasis(n)
+    nb, nf = n * n, (d - 1) * n * n
+    # dGamma^1 = -sum_{r>1} P^r o dGamma^r - ds S^1 o B, with P^r = S^1 o M^r
+    cross = (np.tile(basis[0], (1, d - 1)),
+             np.hstack([-basis[1] * P[r].reshape(-1)[basis[0]]
+                        for r in range(d - 1)] or [np.zeros((2, 0))]))
+    ones = np.tile(_hvec(np.eye(n), basis), d)
+    nu = float(n * d)
+    tau = nu * float(np.max(np.real(np.diag(B))))
+    gam = [np.array(g, dtype=complex) for g in gammas]
+    state = {"s": float(s), "gap": np.inf, "newton_steps": 0}
+
+    def eliminate(gam, s):
+        return S0 * (J - s * B - sum(M[r] * gam[r] for r in range(1, d)))
+
+    def inverse_factors(gam):
+        return [solve_triangular(np.linalg.cholesky(g), np.eye(n), lower=True)
+                for g in gam]
+
+    gam[0] = eliminate(gam, s)
+    try:
+        Li = inverse_factors(gam)
+    except np.linalg.LinAlgError as exc:
+        raise UndecidedError(f"barrier path start is not positive definite: {exc}",
+                             residuals=dict(state)) from exc
+    for step in range(NEWTON_BUDGET):
+        state["newton_steps"] = step
+        A = np.zeros((d * nb, nf + 1))
+        A[:nb, :nf] = _scaled_form(Li[0], basis, cross)
+        A[:nb, nf] = _hvec(Li[0] @ (-PB) @ np.conj(Li[0].T), basis)
+        for r in range(1, d):
+            A[r * nb:(r + 1) * nb, (r - 1) * nb:r * nb] = _scaled_form(Li[r], basis, basis)
+        gb = -A.T @ ones
+        try:
+            Q, R = np.linalg.qr(A)
+            a = -solve_triangular(R, Q.T @ ones)
+            c = solve_triangular(R, np.eye(nf + 1)[nf]) / R[nf, nf]
+        except np.linalg.LinAlgError as exc:
+            raise UndecidedError(f"singular barrier Newton system: {exc}",
+                                 residuals=dict(state)) from exc
+        g_a = float(np.dot(gb, a))
+
+        def newton(tau):
+            dz = tau * c - a
+            return dz, max(g_a - 2.0 * tau * a[nf] + tau * tau * c[nf], 0.0)
+
+        if step == 0 and a[nf] > 0.0:
+            tau = a[nf] / c[nf]  # the weight at which the start is most central
+        # the dual bound holds for any weight whose decrement is below 1;
+        # the largest such weight gives the smallest gap
+        disc = a[nf] * a[nf] - c[nf] * (g_a - DUAL_DECREMENT ** 2)
+        if disc >= 0.0:
+            tau_d = (a[nf] + np.sqrt(disc)) / c[nf]
+            dz = tau_d * c - a
+            gap = max((nu + float(np.dot(gb, dz))) / tau_d, 0.0)
+            W0 = np.conj(Li[0].T) @ Li[0]
+            dg0 = -sum(P[r - 1] * _hmat(dz[(r - 1) * nb:r * nb], basis, n)
+                       for r in range(1, d)) - dz[nf] * PB
+            Y = (W0 - W0 @ dg0 @ W0) / np.conj(M[0]) / tau_d
+            state["gap"] = gap
+            yield s, gap, tuple(gam), 0.5 * (Y + np.conj(Y.T))
+        else:
+            yield s, np.inf, tuple(gam), None
+        dz, lam2 = newton(tau)
+        if lam2 < CENTRED:
+            tau *= TAU_GROWTH
+            dz, lam2 = newton(tau)
+        lam = np.sqrt(lam2)
+        alpha = 1.0 if lam < 0.25 else 1.0 / (1.0 + lam)
+        dgam = [None] + [_hmat(dz[(r - 1) * nb:r * nb], basis, n) for r in range(1, d)]
+        # the step stays inside the domain in exact arithmetic; rounding
+        # near the boundary is met by shortening it
+        for _ in range(40):
+            trial = [None] + [gam[r] + alpha * dgam[r] for r in range(1, d)]
+            trial_s = s + alpha * float(dz[nf])
+            trial[0] = eliminate(trial, trial_s)
+            try:
+                Li = inverse_factors(trial)
                 break
-            prev_v = v.copy()
-    last["iterations"] = it
-    return ("undecided", last, None)
-
-
-def _herm_basis(n):
-    mats = []
-    for i in range(n):
-        E = np.zeros((n, n), dtype=complex)
-        E[i, i] = 1.0
-        mats.append(E)
-    s2 = 1.0 / np.sqrt(2.0)
-    for i in range(n):
-        for j in range(i + 1, n):
-            S = np.zeros((n, n), dtype=complex)
-            S[i, j] = S[j, i] = s2
-            mats.append(S)
-            A = np.zeros((n, n), dtype=complex)
-            A[i, j] = 1j * s2
-            A[j, i] = -1j * s2
-            mats.append(A)
-    return np.array(mats)
-
-
-def _hvec(X, B):
-    return np.real(np.einsum("ij,aji->a", X, B))
-
-
-def _hunvec(v, B):
-    return np.einsum("a,aij->ij", v, B)
-
-
-def _solve_sdp(M0, b0, dec_tol=1e-9, mu_min=1e-12, extract_mu=None):
-    """Barrier-Newton refiner for the same feasibility program.
-
-    Maximizes the cone slack s subject to the reconstruction equalities
-    and a trace cap.  Exits feasible as soon as a verified decomposition
-    appears; attempts an infeasibility extraction whenever the slack is
-    negative (restricted to barrier stages mu <= extract_mu when that is
-    set, which yields a near-optimal dual kernel).  Returns
-    ('feasible', Gammas), ('infeasible', K, viol), or ('undecided', s).
-    """
-    d, n, _ = M0.shape
-    nb = n * n
-    B = _herm_basis(n)
-    D_tot = np.diag(np.sum(M0[:, np.arange(n), np.arange(n)].real, axis=0))
-
-    Acols = []
-    for r in range(d):
-        MB = M0[r][None, :, :] * B
-        Acols.append(np.real(np.einsum("aij,pji->pa", MB, B)))
-    Amat = np.concatenate(Acols + [_hvec(D_tot, B)[:, None]], axis=1)
-    rhs = _hvec(b0, B)
-
-    denom = np.sum(np.abs(M0) ** 2, axis=0)
-    G0 = np.conj(M0) * (b0 / denom)[None, :, :]
-    G0 = _herm(G0)
-    s = min(0.0, float(np.linalg.eigvalsh(G0).min())) - 1.0
-    Theta = G0 - s * np.eye(n)[None, :, :]
-    trace0 = np.sum([np.trace(T).real for T in Theta])
-    R = trace0 + 20.0 * n * d * (abs(s) + 1.0) + 100.0
-    znd = float(n * d)
-    tau = _hvec(np.eye(n), B)
-
-    x = np.concatenate([_hvec(Theta[r], B) for r in range(d)] + [[s]])
-    nv = d * nb + 1
-
-    def unpack(xv):
-        Th = np.array([_hunvec(xv[r * nb : (r + 1) * nb], B) for r in range(d)])
-        return Th, xv[-1]
-
-    def barrier_val(xv):
-        Th, sv = unpack(xv)
-        u = R - sum(np.trace(T).real for T in Th) - sv * znd
-        if u <= 0:
-            return np.inf
-        tot = -np.log(u)
-        for r in range(d):
-            try:
-                L = np.linalg.cholesky(Th[r])
             except np.linalg.LinAlgError:
-                return np.inf
-            tot -= 2.0 * np.sum(np.log(np.real(np.diag(L))))
-        return tot
-
-    def make_gammas(xv):
-        Th, sv = unpack(xv)
-        Gam = Th + sv * np.eye(n)[None, :, :]
-        resid = np.sum(M0 * Gam, axis=0) - b0
-        Gam = Gam - np.conj(M0) * (resid / denom)[None, :, :]
-        return _herm(Gam)
-
-    mu = 1.0
-    while True:
-        for _inner in range(60):
-            Th, sv = unpack(x)
-            u = R - sum(np.trace(T).real for T in Th) - sv * znd
-            g = np.zeros(nv)
-            H = np.zeros((nv, nv))
-            for r in range(d):
-                W = np.linalg.inv(Th[r])
-                W = 0.5 * (W + W.conj().T)
-                g[r * nb : (r + 1) * nb] = -_hvec(W, B)
-                T_a = np.einsum("ij,ajk,kl->ail", W, B, W)
-                H[r * nb : (r + 1) * nb, r * nb : (r + 1) * nb] = np.real(
-                    np.einsum("aij,bji->ab", T_a, B)
-                )
-            z = np.concatenate([np.tile(tau, d), [znd]])
-            g += z / u
-            H += np.outer(z, z) / (u * u)
-            g[-1] -= 1.0 / mu
-
-            KKT = np.zeros((nv + nb, nv + nb))
-            KKT[:nv, :nv] = H + 1e-13 * np.eye(nv)
-            KKT[:nv, nv:] = Amat.T
-            KKT[nv:, :nv] = Amat
-            rp = Amat @ x - rhs
-            try:
-                sol = np.linalg.solve(KKT, np.concatenate([-g, -rp]))
-            except np.linalg.LinAlgError:
-                return ("undecided", x[-1])
-            dx = sol[:nv]
-            lam2 = -g @ dx
-            f0 = -x[-1] / mu + barrier_val(x)
-            alpha = 1.0
-            moved = False
-            for _ls in range(60):
-                xn = x + alpha * dx
-                fn = -xn[-1] / mu + barrier_val(xn)
-                if fn <= f0 - 0.25 * alpha * max(lam2, 0.0) + 1e-12 * abs(f0):
-                    moved = True
-                    break
                 alpha *= 0.5
-            if not moved:
-                break
-            x = xn
-            if lam2 < max(0.01 * mu * mu, 1e-18):
-                break
-        s_cur = x[-1]
-        if s_cur > max(dec_tol, 1e-9):
-            Gam = make_gammas(x)
-            me = float(np.linalg.eigvalsh(Gam).min())
-            recon = float(np.abs(np.sum(M0 * Gam, axis=0) - b0).max())
-            if me >= GAMMA_PSD_TOL and recon <= RECON_TOL:
-                return ("feasible", Gam)
-        # with Theta on the central path the dual slack is mu * inv(Theta^r),
-        # which factors entrywise through conj(M^r); any block recovers a
-        # dual-kernel candidate
-        if s_cur < 0 and (extract_mu is None or mu <= extract_mu):
-            Th, _ = unpack(x)
-            cands = []
-            for r in range(d):
-                W = np.linalg.inv(Th[r])
-                cands.append(W.T / M0[r])
-            if d > 1:
-                cands.append(np.mean(cands, axis=0))
-            for cand in cands:
-                pol = _polish_dual(M0, b0, np.conj(cand))
-                if pol is not None:
-                    return ("infeasible", pol[0], pol[1])
-        if mu <= mu_min:
-            return ("undecided", s_cur)
-        mu = max(mu * 0.1, mu_min)
+        else:
+            raise UndecidedError("barrier step cannot stay positive definite",
+                                 residuals=dict(state))
+        gam, s = trial, trial_s
+        state["s"] = float(s)
+    raise UndecidedError("barrier path exhausted its Newton budget",
+                         iterations=NEWTON_BUDGET, residuals=dict(state))
 
 
-def _decide(M0, b0, budget, escalate, extract_mu=None):
-    res = _dykstra(M0, b0, max_iter=budget)
-    if res[0] != "undecided":
-        return res
-    diagnostics = res[1]
-    if escalate:
-        out = _solve_sdp(M0, b0, extract_mu=extract_mu)
-        if out[0] == "feasible":
-            return ("feasible", out[1], None)
-        if out[0] == "infeasible":
-            return ("infeasible", out[1], out[2])
-        diagnostics = dict(diagnostics)
-        diagnostics["slack_estimate"] = out[1]
-    return ("undecided", diagnostics, None)
+def _start(M):
+    """Strictly feasible Gamma with sum_r M^r o Gamma^r = J.
+
+    The scaled Szego kernels S^r / d when every coordinate separates the
+    nodes.  When two nodes share a coordinate S^r is singular; then the
+    same path maximizes a common shift s with Gamma^r = G^r + s I from
+    G^r = (S^r + I) / d, s = -1/d, and stops once s > 0.
+    """
+    d, n, _ = M.shape
+    S = 1.0 / M
+    try:
+        for r in range(d):
+            np.linalg.cholesky(S[r])
+        return S / d
+    except np.linalg.LinAlgError:
+        pass
+    shift = np.diag(np.real(np.einsum("rii->i", M)))
+    for s, gap, gam, _ in _central_path(M, shift, (S + np.eye(n)) / d, -1.0 / d):
+        if s > 0.0:
+            return np.array(gam) + s * np.eye(n)
+        if s + gap <= 0.0:
+            break
+    raise UndecidedError("no strictly feasible decomposition to start the path from",
+                         residuals={"shift": s, "gap": gap})
 
 
-def agler_feasible(data, t, budget=DYKSTRA_BUDGET, escalate=True,
-                   optimal_certificate=False):
+def _path_problem(data):
+    M, _ = _make_problem(data.nodes, data.targets, 1.0)
+    w = np.asarray(data.targets, dtype=complex)
+    return M, np.outer(w, np.conj(w)), _start(M)
+
+
+def agler_feasible(data, t, optimal_certificate=False):
     """Decide decomposition feasibility of the data at norm level t.
 
     Returns Feasible(AglerDecomposition) or Infeasible(DualKernel); both
     certificates are re-verified against their defining inequalities
-    before being returned.  A stalled solve raises UndecidedError with
-    the residual diagnostics.
+    before being returned.  Runs the barrier path of schur_agler_norm and
+    stops at the first iterate that separates s* from 1/t^2; a level the
+    path cannot separate raises UndecidedError with the last bracket.
 
     With optimal_certificate=True an infeasibility certificate is taken
-    from the late barrier path, which makes the dual kernel nearly
+    only once the path has converged, which makes the dual kernel nearly
     optimal rather than merely valid (used by the operator-theory
     pipeline, where the kernel's quality determines the exhibited
     violation).
@@ -452,46 +422,41 @@ def agler_feasible(data, t, budget=DYKSTRA_BUDGET, escalate=True,
             viol = float(np.linalg.eigvalsh(_herm(b0 * K)).min())
             return Infeasible(DualKernel(K=K, violation=viol))
 
-    if optimal_certificate:
-        out = _solve_sdp(M0, b0, extract_mu=1e-10)
-        if out[0] == "feasible":
-            res = ("feasible", out[1], None)
-        elif out[0] == "infeasible":
-            res = ("infeasible", out[1], out[2])
-        else:
-            raise UndecidedError(
-                "barrier refiner exhausted its path without a certificate",
-                t=t,
-                residuals={"slack_estimate": out[1]},
-            )
-    else:
-        res = _decide(M0, b0, budget, escalate)
-
-    if res[0] == "feasible":
-        gammas = tuple(_herm(g) for g in res[1])
-        dec = AglerDecomposition(gammas=gammas, t=float(t))
-        if dec.min_eigenvalue() < GAMMA_PSD_TOL:
-            raise UndecidedError(
-                "decomposition failed independent PSD verification", t=t
-            )
-        if dec.reconstruction_residual(data) > RECON_TOL:
-            raise UndecidedError(
-                "decomposition failed independent reconstruction check", t=t
-            )
-        return Feasible(dec)
-    if res[0] == "infeasible":
-        return Infeasible(DualKernel(K=res[1], violation=res[2]))
-    diag = res[1] or {}
-    raise UndecidedError(
-        "feasibility undecided within the iteration budget",
-        t=t,
-        iterations=diag.get("iterations", budget),
-        residuals=diag,
-    )
+    M, B, start = _path_problem(data)
+    target = 1.0 / (t * t)
+    dec = AglerDecomposition(gammas=tuple(start), t=float(t))
+    try:
+        for s, gap, gam, Y in _central_path(M, B, start, 0.0) if wmax > 0.0 else ():
+            # theta = target / s > 1 extrapolates just past the iterate (for
+            # levels at the norm itself); the PSD acceptance below decides
+            if s > 0.0 and target <= s * (1.0 + 1e-6):
+                th = target / s
+                dec = AglerDecomposition(
+                    gammas=tuple(_herm(th * g + (1.0 - th) * g0)
+                                 for g, g0 in zip(gam, start)),
+                    t=float(t))
+                if dec.min_eigenvalue() >= GAMMA_PSD_TOL:
+                    break
+            if s + gap < target and (not optimal_certificate
+                                     or gap <= 2.0 * NORM_RTOL * s):
+                pol = _polish_dual(M0, b0, Y)
+                if pol is not None:
+                    return Infeasible(DualKernel(K=pol[0], violation=pol[1]))
+    except UndecidedError as exc:
+        exc.t = t
+        raise
+    if dec.min_eigenvalue() < GAMMA_PSD_TOL:
+        raise UndecidedError("decomposition failed independent PSD verification", t=t)
+    if dec.reconstruction_residual(data) > RECON_TOL:
+        raise UndecidedError(
+            "decomposition failed independent reconstruction check", t=t
+        )
+    return Feasible(dec)
 
 
 class SchurAglerNorm(float):
-    """A float tagged with the d >= 3 caveat and bisection diagnostics."""
+    """A float tagged with the d >= 3 caveat.  undecided_probes is kept for
+    callers that read it and is always 0: the norm comes from one path."""
 
     def __new__(cls, value, caveat_flag=None, undecided_probes=0):
         obj = super().__new__(cls, value)
@@ -530,50 +495,36 @@ def _pairwise_lower_bound(nodes, targets):
     return lo
 
 
-def schur_agler_norm(data, tol=NORM_TOL, probe_budget=1500):
+def schur_agler_norm(data):
     """Smallest level t at which the data is decomposition-feasible.
 
-    Bisection over agler_feasible with a closed-form pairwise lower
-    bound as the starting bracket.  The returned value is the smallest
-    level confirmed feasible; probes left undecided move the lower end
-    of the bracket and are counted on the result.  For d <= 2 this is
-    the minimal extension norm; for d >= 3 it is an upper bound, and the
-    result carries the caveat flag saying so.
+    Follows the barrier path maximizing s = 1/t^2 and returns 1/sqrt(s)
+    at a strictly feasible iterate, which is an upper bound on the
+    minimal level.  It stops once that value is within a relative
+    NORM_RTOL of the best lower bound: the larger of the path's
+    duality-gap bound 1/sqrt(s + gap) and the closed-form pairwise
+    bound.  A bracket that cannot close raises UndecidedError carrying
+    it.  For d <= 2 this is the minimal extension norm; for d >= 3 it is
+    an upper bound, and the result carries the caveat flag saying so.
     """
     if data.n > MAX_NODES:
         raise DomainError(f"at most {MAX_NODES} nodes supported, got {data.n}")
     caveat = CAVEAT_D3 if data.d >= 3 else None
-    M0_cache = {}
-
-    def probe(t):
-        key = float(t)
-        if key not in M0_cache:
-            M0, b0 = _make_problem(data.nodes, data.targets, t)
-            M0_cache[key] = _decide(M0, b0, probe_budget, escalate=True)[0]
-        return M0_cache[key]
-
-    wmax = max(abs(w) for w in data.targets)
-    if wmax == 0.0:
+    if max(abs(w) for w in data.targets) == 0.0:
         return SchurAglerNorm(0.0, caveat_flag=caveat)
-    lo = max(_pairwise_lower_bound(data.nodes, data.targets), 1e-12)
-    if probe(lo * (1.0 + 1e-9)) == "feasible":
-        return SchurAglerNorm(lo * (1.0 + 1e-9), caveat_flag=caveat)
-    hi = max(2.0 * lo, 1.0)
-    while probe(hi) != "feasible":
-        hi *= 2.0
-        if hi > 1e6:
-            raise UndecidedError("no feasible level found below 1e6", t=hi)
-    undecided = 0
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        status = probe(mid)
-        if status == "feasible":
-            hi = mid
-        else:
-            if status == "undecided":
-                undecided += 1
-            lo = mid
-    return SchurAglerNorm(hi, caveat_flag=caveat, undecided_probes=undecided)
+    lo = _pairwise_lower_bound(data.nodes, data.targets)
+    hi = np.inf
+    M, B, start = _path_problem(data)
+    try:
+        for s, gap, _, _ in _central_path(M, B, start, 0.0):
+            if s > 0.0:
+                hi = 1.0 / np.sqrt(s)
+                lo = max(lo, 1.0 / np.sqrt(s + gap))
+                if hi <= lo * (1.0 + NORM_RTOL):
+                    return SchurAglerNorm(hi, caveat_flag=caveat)
+    except UndecidedError as exc:
+        exc.residuals["bracket"] = (lo, hi)
+        raise
 
 
 def _random_blaschke_factor(rng, max_degree=2):

@@ -15,7 +15,7 @@ import typing
 import numpy as np
 
 from . import variety as variety_mod
-from .agler import Feasible, PolyPickData, agler_feasible, schur_agler_norm
+from .agler import PolyPickData, agler_feasible, schur_agler_norm
 from .disk_geometry import pseudo_hyperbolic
 from .errors import DomainError, ResolutionExhaustedError
 from .operators import violation_witness
@@ -251,11 +251,9 @@ def extension_vs_vn(data, f_values=None, variety=None):
                 )
     norm = schur_agler_norm(data)
     if float(norm) <= 1.0 + EXTENSION_TOL:
+        # norm is a feasible level of the same barrier path, so t is too
         t = max(1.0, float(norm) + 1e-6)
         res = agler_feasible(data, t)
-        if not isinstance(res, Feasible):
-            t = float(norm) * (1.0 + 1e-6)
-            res = agler_feasible(data, t)
         return ExtensionVNReport(
             verdict="extension_consistent",
             norm=float(norm),

@@ -248,13 +248,9 @@ def cmd_pick_solve(args):
         if norm.caveat_flag:
             result["caveat_flag"] = norm.caveat_flag
         certificate = None
-        try:
-            t_cert = max(float(norm) * (1.0 + 1e-6), 1e-9)
-            res = agler_feasible(data, t_cert)
-            if isinstance(res, Feasible):
-                certificate = _encode_decomposition(res.decomposition, data)
-        except (UndecidedError, PolydiskLabError):
-            certificate = None
+        res = agler_feasible(data, max(float(norm) * (1.0 + 1e-6), 1e-9))
+        if isinstance(res, Feasible):
+            certificate = _encode_decomposition(res.decomposition, data)
         result["certificate"] = certificate
         human = []
     else:

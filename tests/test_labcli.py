@@ -7,8 +7,9 @@ import json
 import numpy as np
 import pytest
 
-from polydisklab import labcli
+from polydisklab import agler, labcli
 from polydisklab._serialize import dumps_canonical
+from polydisklab.errors import UndecidedError
 from polydisklab.labcli import _UsageError, main, parse_complex, parse_pair
 
 
@@ -68,6 +69,23 @@ class TestPickSolve:
         out = json.loads(capsys.readouterr().out)
         assert out["sa_norm"] == pytest.approx(1.4, abs=1e-4)
         assert "caveat_flag" not in out
+
+    def test_undecided_certificate_exits_2(self, poly_problem, monkeypatch, capsys):
+        # an undecided certificate is reported, not printed as a null one
+        def undecided(data, t, **kwargs):
+            raise UndecidedError("forced", t=t)
+
+        monkeypatch.setattr(labcli, "agler_feasible", undecided)
+        assert main(["pick-solve", poly_problem]) == 2
+        assert capsys.readouterr().out == ""
+
+    def test_singular_newton_core_exits_2(self, poly_problem, monkeypatch, capsys):
+        def singular(*args, **kwargs):
+            raise np.linalg.LinAlgError("singular matrix")
+
+        monkeypatch.setattr(agler, "solve_triangular", singular)
+        assert main(["pick-solve", poly_problem]) == 2
+        assert "undecided" in capsys.readouterr().err
 
     def test_d3_problem_carries_caveat(self, tmp_path, capsys):
         path = write_problem(
