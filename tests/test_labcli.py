@@ -64,6 +64,17 @@ class TestPickSolve:
         assert out["extremal"] is False
         assert out["certificate"]["type"] == "blaschke"
 
+    def test_singular_szego_gram_exits_3(self, tmp_path, capsys):
+        # nodes 1e-9 apart: the failed eigensolve is reported, not a traceback
+        path = write_problem(
+            tmp_path / "close.json", "disk_pick",
+            {"nodes": [[0.0, 0.0], [1e-9, 0.0]], "targets": [[0.0, 0.0], [0.5, 0.0]]},
+        )
+        assert main(["pick-solve", path]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "degenerate geometry" in captured.err
+
     def test_poly_problem_canonical(self, poly_problem, capsys):
         assert main(["pick-solve", poly_problem]) == 0
         out = json.loads(capsys.readouterr().out)

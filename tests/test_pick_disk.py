@@ -1,9 +1,18 @@
 """Tests for one-variable Pick interpolation and the infinitesimal
 l1 extremality test at the origin."""
 
+import os
+import subprocess
+import sys
+
+import mpmath
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import strategies as st
 
+import polydisklab
+from polydisklab import pick_disk
 from polydisklab import (
     BlaschkeProduct,
     CPDataOrigin,
@@ -15,12 +24,14 @@ from polydisklab import (
     schur_construct,
     solvable,
 )
+from polydisklab.disk_geometry import pseudo_hyperbolic
 from polydisklab.errors import (
     ConditioningError,
     DegenerateDataError,
     DomainError,
     InfeasibleConstraintsError,
 )
+from polydisklab.pick_disk import NORM_RTOL, _pencil
 
 
 def random_disk(rng, n, rmax=0.9):
@@ -50,6 +61,52 @@ class TestDiskPickData:
         with pytest.raises(DomainError):
             DiskPickData(nodes=(0.0,), targets=(0.0,),
                          derivative_constraints=((3, 0.1),))
+
+
+def reference_pick(nodes, targets, derivs):
+    """The extended Pick matrix entry by entry: value rows, then one row
+    per derivative constraint, holding the mixed Wirtinger derivatives of
+    (1 - f(x) conj(f(y))) / (1 - x conj(y))."""
+    n, lam, w = len(nodes), np.asarray(nodes), np.asarray(targets)
+    m = n + len(derivs)
+    D = 1.0 - np.outer(lam, np.conj(lam))
+    N = 1.0 - np.outer(w, np.conj(w))
+    A = np.zeros((m, m), dtype=complex)
+    A[:n, :n] = N / D
+    for a, (i, vi) in enumerate(derivs):
+        for j in range(n):
+            d = D[i, j]
+            A[n + a, j] = -vi * np.conj(w[j]) / d + N[i, j] * np.conj(lam[j]) / d**2
+            A[j, n + a] = np.conj(A[n + a, j])
+        for b, (j, vj) in enumerate(derivs):
+            d = D[i, j]
+            A[n + a, n + b] = (-vi * np.conj(vj) / d
+                               - vi * np.conj(w[j]) * lam[i] / d**2
+                               - w[i] * np.conj(vj) * np.conj(lam[j]) / d**2
+                               + N[i, j] / d**2
+                               + 2.0 * N[i, j] * lam[i] * np.conj(lam[j]) / d**3)
+    return A
+
+
+class TestPickMatrix:
+    def test_pencil_matches_entrywise_reference(self):
+        # A0 - A1 / t^2 is the Pick matrix of the data scaled by 1/t
+        rng = np.random.default_rng(13)
+        for _ in range(200):
+            n = int(rng.integers(1, 6))
+            nodes = random_disk(rng, n)
+            targets = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+            idx = sorted(rng.choice(n, size=int(rng.integers(0, n + 1)), replace=False))
+            derivs = tuple((int(i), complex(rng.standard_normal(), rng.standard_normal()))
+                           for i in idx)
+            data = DiskPickData(nodes=tuple(nodes), targets=tuple(targets),
+                                derivative_constraints=derivs)
+            t = 0.5 + 2.0 * rng.random()
+            ref = reference_pick(nodes, targets / t, [(i, v / t) for i, v in derivs])
+            A0, A1 = _pencil(data)
+            assert np.abs(A0 - A1 / t**2 - ref).max() <= 1e-12 * np.abs(ref).max()
+            ref1 = reference_pick(nodes, targets, derivs)
+            assert np.abs(pick_matrix(data) - ref1).max() <= 1e-12 * np.abs(ref1).max()
 
 
 class TestMinimalNorm:
@@ -109,6 +166,150 @@ class TestMinimalNorm:
             solvable(data, 0.0)
 
 
+def gram_condition(data):
+    """Condition number of the Szegő Gram matrix that minimal_norm's
+    documented accuracy scales with."""
+    return float(np.linalg.cond(_pencil(data)[0]))
+
+
+def within_documented_accuracy(t, exact, data):
+    return abs(t - exact) <= NORM_RTOL * gram_condition(data) * exact
+
+
+class TestMinimalNormRegressions:
+    def test_large_norm_returns(self):
+        # nodes 1e-6 apart: the norm 9e5 is far above any fixed bracket, and
+        # an absolute stopping tolerance sits below the float spacing there
+        code = ("from polydisklab import DiskPickData, minimal_norm; "
+                "print(repr(minimal_norm(DiskPickData(nodes=(0.0, 1e-6), "
+                "targets=(0.0, 0.9)))))")
+        src = os.path.dirname(os.path.dirname(polydisklab.__file__))
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                             text=True, timeout=30,
+                             env=dict(os.environ, PYTHONPATH=src))
+        assert out.returncode == 0, out.stderr
+        t = float(out.stdout)
+        data = DiskPickData(nodes=(0.0, 1e-6), targets=(0.0, 0.9))
+        assert within_documented_accuracy(t, 9e5, data)
+
+    @pytest.mark.parametrize("gap", [1e-5, 2e-6])
+    def test_close_nodes_within_documented_accuracy(self, gap):
+        data = DiskPickData(nodes=(0.0, gap), targets=(0.0, 0.9))
+        assert within_documented_accuracy(minimal_norm(data), 0.9 / gap, data)
+
+    @pytest.mark.parametrize("nodes", [(0.0, 1e-9), (0.3, 0.3 + 1e-9),
+                                       (0.5j, 0.5j + 1e-9, -0.2)])
+    def test_nearly_coincident_nodes(self, nodes):
+        # the Szegő Gram matrix is singular to working precision: the
+        # eigensolver's failure surfaces as the documented error
+        data = DiskPickData(nodes=nodes, targets=(0.0, 0.5, 0.1)[:len(nodes)])
+        try:
+            t = minimal_norm(data)
+        except ConditioningError:
+            return
+        assert np.isfinite(t) and t > 0.0
+
+    def test_eigensolver_failure_is_conditioning_error(self, monkeypatch):
+        def fail(*args, **kwargs):
+            raise np.linalg.LinAlgError("did not converge")
+
+        monkeypatch.setattr(pick_disk, "eigh", fail)
+        data = DiskPickData(nodes=(0.0, 0.5), targets=(0.0, 0.25))
+        for solve in (minimal_norm, is_extremal, schur_construct):
+            with pytest.raises(ConditioningError):
+                solve(data)
+
+    def test_mpmath_brackets_the_norm(self):
+        # value-only data on clustered nodes (Gram condition 1.5e8): at 50
+        # digits the Pick matrix is PSD 1e-9 above the computed norm and
+        # not PSD 1e-9 below it
+        data = DiskPickData(nodes=(0.0, 0.01, 0.02j), targets=(0.1, 0.3, -0.2j))
+        t = mpmath.mpf(minimal_norm(data))
+        with mpmath.workdps(50):
+            lam = [mpmath.mpc(z) for z in data.nodes]
+            w = [mpmath.mpc(z) for z in data.targets]
+
+            def min_eig(level):
+                A = mpmath.matrix(
+                    [[(1 - wi * mpmath.conj(wj) / level**2)
+                      / (1 - li * mpmath.conj(lj))
+                      for lj, wj in zip(lam, w)] for li, wi in zip(lam, w)])
+                return min(mpmath.eighe(A, eigvals_only=True))
+
+            assert min_eig(t * (1 + mpmath.mpf("1e-9"))) >= 0
+            assert min_eig(t * (1 - mpmath.mpf("1e-9"))) < 0
+
+
+DISK = st.complex_numbers(max_magnitude=0.7, allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def disk_problems(draw):
+    """Up to 4 separated nodes, each with or without a derivative."""
+    n = draw(st.integers(1, 4))
+    nodes = draw(st.lists(DISK, min_size=n, max_size=n))
+    assume(all(pseudo_hyperbolic(z, u) >= 0.15
+               for i, z in enumerate(nodes) for u in nodes[:i]))
+    targets = draw(st.lists(st.complex_numbers(max_magnitude=0.9, allow_nan=False,
+                                               allow_infinity=False),
+                            min_size=n, max_size=n))
+    assume(max(abs(w) for w in targets) >= 0.05)
+    with_derivative = draw(st.lists(st.booleans(), min_size=n, max_size=n))
+    derivs = [(i, draw(st.complex_numbers(max_magnitude=2.0, allow_nan=False,
+                                          allow_infinity=False)))
+              for i in range(n) if with_derivative[i]]
+    return DiskPickData(nodes=tuple(nodes), targets=tuple(targets),
+                        derivative_constraints=tuple(derivs))
+
+
+ORACLE = settings(max_examples=40, deadline=None, derandomize=True,
+                  suppress_health_check=[HealthCheck.filter_too_much,
+                                         HealthCheck.too_slow])
+
+
+class TestMinimalNormMetamorphic:
+    """Invariances of the disk norm, to 1e-7 relative."""
+
+    @ORACLE
+    @given(disk_problems(), DISK, st.floats(0.0, 2.0 * np.pi))
+    def test_mobius_change_of_nodes(self, data, a, theta):
+        # f -> f o phi^-1 keeps the sup norm; derivatives follow the chain rule
+        a = 0.7 * a
+        rot = np.exp(1j * theta)
+
+        def phi(z):
+            return rot * (z - a) / (1 - np.conj(a) * z)
+
+        def dphi(z):
+            return rot * (1 - abs(a) ** 2) / (1 - np.conj(a) * z) ** 2
+
+        moved = DiskPickData(
+            nodes=tuple(phi(z) for z in data.nodes), targets=data.targets,
+            derivative_constraints=tuple(
+                (i, v / dphi(data.nodes[i])) for i, v in data.derivative_constraints))
+        assert minimal_norm(moved) == pytest.approx(minimal_norm(data), rel=1e-7)
+
+    @ORACLE
+    @given(disk_problems(), st.floats(0.0, 2.0 * np.pi))
+    def test_target_rotation(self, data, theta):
+        rot = np.exp(1j * theta)
+        turned = DiskPickData(
+            nodes=data.nodes, targets=tuple(rot * w for w in data.targets),
+            derivative_constraints=tuple((i, rot * v)
+                                         for i, v in data.derivative_constraints))
+        assert minimal_norm(turned) == pytest.approx(minimal_norm(data), rel=1e-7)
+
+    @ORACLE
+    @given(disk_problems(), st.floats(0.05, 20.0), st.floats(0.0, 2.0 * np.pi))
+    def test_target_scaling(self, data, r, theta):
+        c = r * np.exp(1j * theta)
+        scaled = DiskPickData(
+            nodes=data.nodes, targets=tuple(c * w for w in data.targets),
+            derivative_constraints=tuple((i, c * v)
+                                         for i, v in data.derivative_constraints))
+        assert minimal_norm(scaled) == pytest.approx(r * minimal_norm(data), rel=1e-7)
+
+
 class TestSchurConstruct:
     def test_identity_map(self):
         data = DiskPickData(nodes=(0.0, 0.5), targets=(0.0, 0.5))
@@ -154,6 +355,36 @@ class TestSchurConstruct:
         resid = max(abs(got(z) - w) for z, w in zip(data.nodes, data.targets))
         assert resid < 1e-8
 
+    # Samples of a degree-2 Blaschke product at 8 nodes (extremal, norm 1),
+    # drawn by the disk-pick benchmark generator.  Reducing at the computed
+    # norm itself made a Schur step exceed |g| = 1 on data like this.
+    EXTREMAL_EIGHT_NODES = [
+        ((-0.7719539743354662 - 0.16383207586555987j, -0.551375863661754 - 0.5218625230829562j,
+          -0.7619130961605809 + 0.3259173348256014j, 0.5656366200997714 - 0.42330878069553923j,
+          0.4799483286752944 + 0.4952235794544865j, 0.24992960125022445 - 0.6731189870832648j,
+          -0.3323759997797365 - 0.4624975584053863j, 0.4518081971248979 + 0.05709253898415683j),
+         (-0.910900742620403 - 0.16400399498412552j, -0.8614363367648633 - 0.31437605762044984j,
+          -0.9239043200260866 + 0.03994071439764322j, -0.32018775145204603 - 0.6541948269906672j,
+          -0.14196463038850493 - 0.03714298626640724j, -0.6062679077245434 - 0.5912231898582817j,
+          -0.7705007050334463 - 0.3283895830728033j, -0.18776422944046256 - 0.21280674901418156j)),
+        ((0.6180540481714152 - 0.6051926291597389j, 0.47025844136816664 - 0.46426837792006725j,
+          0.6830608191876079 - 0.5357532745790853j, 0.07943100433518317 - 0.8355887871484348j,
+          -0.4875877682059959 - 0.504236514414393j, -0.40261998870254706 + 0.7102844235793166j,
+          0.2533992637726608 + 0.5569476491303428j, 0.6432922386743579 + 0.5474489105298309j),
+         (0.28397955272264525 - 0.8272923829103055j, 0.2519765361773023 - 0.6431896276648831j,
+          0.36686025621579654 - 0.8058754354849097j, -0.3785145490788701 - 0.5937563533169402j,
+          0.2120410826055638 + 0.08284757547542057j, 0.01938303024336508 + 0.6319821670834167j,
+          0.6352435950122814 + 0.09355404350039598j, 0.8698912417509065 - 0.13605032203685638j)),
+    ]
+
+    @pytest.mark.parametrize("nodes,targets", EXTREMAL_EIGHT_NODES)
+    def test_extremal_eight_node_round_trip(self, nodes, targets):
+        data = DiskPickData(nodes=nodes, targets=targets)
+        got = schur_construct(data)
+        assert got.degree == 2
+        assert got.scale == pytest.approx(1.0, abs=1e-7)
+        assert max(abs(got(z) - w) for z, w in zip(nodes, targets)) < 1e-8
+
     def test_rejects_derivative_data(self):
         data = DiskPickData(nodes=(0.0, 0.5), targets=(0.0, 0.25),
                             derivative_constraints=((1, 1.0),))
@@ -184,6 +415,31 @@ class TestIsExtremal:
         assert schur_construct(data).degree <= np.linalg.matrix_rank(
             pick_matrix(data), tol=1e-8
         )
+
+
+    def test_norm_half_derivative_data_not_extremal(self):
+        # s * B and s * B' at 5 nodes for a degree-4 product B and s = 0.5:
+        # the Pick matrix at level 1 has smallest eigenvalue 8.9e-9, inside
+        # an absolute singularity window, but the norm is 0.5
+        nodes = (-0.559943886655689 - 0.06604378503403373j,
+                 -0.25089389940335993 - 0.2159924509924641j,
+                 0.21766255392841946 - 0.2105495669449241j,
+                 -0.6501722879607358 - 0.01718143257251546j,
+                 -0.4922818213561652 + 0.46726963940880845j)
+        targets = (-0.00011789298400011535 - 0.10590249628791792j,
+                   0.08752557270647135 - 0.007283015340107742j,
+                   0.004154194333984239 + 0.06590095093076334j,
+                   -0.05698912243166663 - 0.12928716875248278j,
+                   0.01741321922708915 + 0.13111536314185473j)
+        derivs = (0.3025261474027069 + 0.44070151470903507j,
+                  -0.062431527726259116 + 0.3067013317749645j,
+                  -0.2662045979167112 + 0.0026850664654184016j,
+                  0.45990270527023425 + 0.48972524524500044j,
+                  0.4292356195534387 - 0.49980786168540986j)
+        data = DiskPickData(nodes=nodes, targets=targets,
+                            derivative_constraints=tuple(enumerate(derivs)))
+        assert within_documented_accuracy(minimal_norm(data), 0.5, data)
+        assert not is_extremal(data)
 
 
 class TestInfinitesimalExtremal:
