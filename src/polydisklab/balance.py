@@ -15,6 +15,7 @@ import numpy as np
 
 from .disk_geometry import (
     DEFAULT_TOL,
+    _rho_raw,
     check_disk_point,
     check_poly_point,
     mobius_interchange,
@@ -303,19 +304,40 @@ def scan_balanced_pairs(sample, tol=DEFAULT_TOL):
     """All n >= 2 balanced pairs among the sample points.
 
     Returns [((i, j), BalanceReport), ...] with 0-based sample indices,
-    sorted by n descending, then by index pair.  Quadratic in the sample
-    size.
+    sorted by n descending, then by index pair.  Coincident points are
+    skipped.  Each point is classified against all later points at once
+    from one array of distances, with the same quantized tie rule and
+    tie order as classify_pair, so reports agree with it exactly; memory
+    stays linear in the sample size.
     """
     pts = [check_poly_point(p) for p in sample]
     if not pts:
         raise DegenerateDataError("empty sample")
+    if len({len(p) for p in pts}) > 1:
+        raise DomainError("points have different dimensions")
+    P = np.array(pts, dtype=complex)
     found = []
-    for i in range(len(pts)):
-        for j in range(i + 1, len(pts)):
-            if pts[i] == pts[j]:
-                continue
-            report = classify_pair(pts[i], pts[j], tol=tol)
-            if report.n >= 2:
-                found.append(((i, j), report))
+    for i in range(len(pts) - 1):
+        later = P[i + 1:]
+        rho = _rho_raw(P[i][None, :], later)
+        distinct = np.flatnonzero(~np.all(later == P[i], axis=1))
+        if not len(distinct):
+            continue
+        rho = rho[distinct]
+        grid = tol * rho.max(axis=1, keepdims=True)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            quant = np.where(grid > 0.0, np.rint(rho / grid), rho)
+        n = np.sum(quant == quant.max(axis=1, keepdims=True), axis=1)
+        for row in np.flatnonzero(n >= 2):
+            order = np.argsort(-rho[row], kind="stable")
+            found.append((
+                (i, i + 1 + int(distinct[row])),
+                BalanceReport(
+                    n=int(n[row]),
+                    permutation=tuple(int(j) + 1 for j in order),
+                    rho_values=tuple(rho[row, order]),
+                    tol=tol,
+                ),
+            ))
     found.sort(key=lambda item: (-item[1].n, item[0]))
     return found

@@ -56,8 +56,15 @@ def pseudo_hyperbolic(z, w):
 
 
 def _rho_raw(z, w):
-    # unchecked variant for hot loops; accepts numpy arrays
-    return np.abs(z - w) / np.abs(1.0 - np.conj(w) * z)
+    """Unchecked pseudo_hyperbolic over numpy arrays, equal to it bit for
+    bit: conj(w) z in real arithmetic and moduli by hypot, as the scalar
+    rules round them (numpy's complex array kernels do not)."""
+    z = np.asarray(z, dtype=complex)
+    w = np.asarray(w, dtype=complex)
+    pr = w.real * z.real - (-w.imag) * z.imag
+    pi = w.real * z.imag + (-w.imag) * z.real
+    num = np.hypot(z.real - w.real, z.imag - w.imag)
+    return num / np.hypot(1.0 - pr, 0.0 - pi)
 
 
 @dataclasses.dataclass(frozen=True)

@@ -316,70 +316,22 @@ def _closure_sample(generators, n_primary=512, n_secondary=64, seed=0):
 def _solve_dependent(gens, k, base_idx, base):
     """Solve the dependent coordinate over an array of base points.
 
-    Vectorized closed forms for slice degree <= 2; companion-matrix
-    fallback per point above that.  Keeps roots with |root| <= 1 + 1e-9.
+    All slices are solved together by variety.slice_roots.  Keeps roots
+    with |root| <= 1 + 1e-9 that satisfy every generator to 1e-7
+    relative.
     """
-    m = base.shape[0]
-    out = []
-
-    def emit(mask, roots):
-        sel = mask & (np.abs(roots) <= 1.0 + 1e-9)
-        if not np.any(sel):
-            return
-        pts = np.zeros((int(sel.sum()), 3), dtype=complex)
-        pts[:, base_idx[0]] = base[sel, 0]
-        pts[:, base_idx[1]] = base[sel, 1]
-        pts[:, k] = roots[sel]
-        good = np.ones(len(pts), dtype=bool)
-        for g in gens:
-            good &= np.abs(g(pts)) <= 1e-7 * variety_mod._scale(g)
-        out.append(pts[good])
-
-    if len(gens) == 1 and gens[0].degree_in(k) <= 2:
-        g = gens[0]
-        deg = g.degree_in(k)
-        coeff_polys = []
-        for j in range(deg + 1):
-            terms = {
-                (e[base_idx[0]], e[base_idx[1]]): c
-                for e, c in g.coeffs.items()
-                if e[k] == j
-            }
-            coeff_polys.append(Polynomial(2, terms))
-        C = np.stack([cp(base) for cp in coeff_polys], axis=1)
-        if deg == 1:
-            nz = np.abs(C[:, 1]) > 1e-14
-            roots = np.where(nz, -C[:, 0] / np.where(nz, C[:, 1], 1.0), 0.0)
-            emit(nz, roots)
-        else:
-            quad = np.abs(C[:, 2]) > 1e-14
-            disc = np.sqrt(C[:, 1] ** 2 - 4.0 * C[:, 2] * C[:, 0] + 0j)
-            for sgn in (+1.0, -1.0):
-                den = np.where(quad, 2.0 * C[:, 2], 1.0)
-                roots = (-C[:, 1] + sgn * disc) / den
-                emit(quad, roots)
-            lin = (~quad) & (np.abs(C[:, 1]) > 1e-14)
-            roots = np.where(lin, -C[:, 0] / np.where(lin, C[:, 1], 1.0), 0.0)
-            emit(lin, roots)
-    else:
-        for idx in range(m):
-            vals = np.zeros(3, dtype=complex)
-            vals[base_idx[0]] = base[idx, 0]
-            vals[base_idx[1]] = base[idx, 1]
-            roots, vacuous = variety_mod._slice_roots(gens, k, vals)
-            if vacuous:
-                continue
-            keep = roots[np.abs(roots) <= 1.0 + 1e-9]
-            if len(keep):
-                rep = np.repeat(base[idx][None, :], len(keep), axis=0)
-                pts = np.zeros((len(keep), 3), dtype=complex)
-                pts[:, base_idx[0]] = rep[:, 0]
-                pts[:, base_idx[1]] = rep[:, 1]
-                pts[:, k] = keep
-                out.append(pts)
-    if not out:
-        return np.zeros((0, 3), dtype=complex)
-    return np.concatenate(out, axis=0)
+    vals = np.zeros((base.shape[0], 3), dtype=complex)
+    vals[:, base_idx] = base
+    roots, _vacuous = variety_mod.slice_roots(gens, k, vals)
+    pts = variety_mod._lift(
+        vals, k, roots, variety_mod._modulus(roots) <= 1.0 + 1e-9
+    )
+    good = np.all(
+        [variety_mod._residuals(g, pts) <= 1e-7 * variety_mod._scale(g)
+         for g in gens],
+        axis=0,
+    )
+    return pts[good]
 
 
 def circle_image_test(generators, phi, data, seed=0):

@@ -26,6 +26,38 @@ REFINE_POINTS = 9
 _COEFF_CHOP = 1e-15
 
 
+def _cmul(ar, ai, br, bi):
+    """Complex product in real arithmetic, as the scalar rules round it."""
+    return ar * br - ai * bi, ar * bi + ai * br
+
+
+def _cpow(re, im, n):
+    """z**n for integer n >= 0 in real arithmetic, following the
+    multiplication order of numpy's complex scalar power (npy_cpow):
+    z**0 = 1, 0**n = 0, unrolled squares and cubes, then binary powers."""
+    if n == 0:
+        return np.ones_like(re), np.zeros_like(re)
+    if n == 1:
+        pr, pi = re, im
+    elif n == 2:
+        pr, pi = _cmul(re, im, re, im)
+    elif n == 3:
+        pr, pi = _cmul(re, im, *_cmul(re, im, re, im))
+    else:
+        pr, pi = np.ones_like(re), np.zeros_like(re)
+        sr, si = re, im
+        mask = 1
+        while True:
+            if n & mask:
+                pr, pi = _cmul(pr, pi, sr, si)
+            mask <<= 1
+            if n < mask:
+                break
+            sr, si = _cmul(sr, si, sr, si)
+    zero = (re == 0.0) & (im == 0.0)
+    return np.where(zero, 0.0, pr), np.where(zero, 0.0, pi)
+
+
 class Polynomial:
     """Sparse polynomial in d complex variables."""
 
@@ -131,16 +163,38 @@ class Polynomial:
     def coeffs_in(self, k, values):
         """Ascending coefficients in variable k with the other variables
         fixed at the given values (values indexed by variable, entry k
-        ignored)."""
+        ignored).
+
+        A length-d sequence gives a (deg + 1,) array; an (m, d) array of
+        base points gives one row per point, shape (m, deg + 1).  Each
+        row equals the one-point result bit for bit: products and powers
+        are taken in real arithmetic in the order numpy's complex scalar
+        rules use, since numpy's complex array kernels round differently.
+        """
+        if np.ndim(values) == 1:
+            point = [0.0 if j == k else values[j] for j in range(self.d)]
+            return self.coeffs_in(k, np.array([point], dtype=complex))[0]
+        vals = np.asarray(values, dtype=complex)
+        m = vals.shape[0]
         deg = self.degree_in(k)
-        out = np.zeros(deg + 1, dtype=complex)
+        out_re = np.zeros((m, deg + 1))
+        out_im = np.zeros((m, deg + 1))
+        powers = {}
         for e, c in self.coeffs.items():
-            term = c
+            tr = np.full(m, c.real)
+            ti = np.full(m, c.imag)
             for j, a in enumerate(e):
                 if j == k:
                     continue
-                term = term * values[j] ** a
-            out[e[k]] += term
+                if (j, a) not in powers:
+                    powers[(j, a)] = _cpow(vals[:, j].real, vals[:, j].imag, a)
+                pr, pi = powers[(j, a)]
+                tr, ti = _cmul(tr, ti, pr, pi)
+            out_re[:, e[k]] += tr
+            out_im[:, e[k]] += ti
+        out = np.empty((m, deg + 1), dtype=complex)
+        out.real = out_re
+        out.imag = out_im
         return out
 
     def to_payload(self):

@@ -70,49 +70,107 @@ def equal_area_disk(count, rng=None):
     return np.array(pts[:count])
 
 
-def _trimmed_coeffs(g, k, values):
+def _modulus(z):
+    # |z| as scalar abs computes it (hypot); numpy's complex array abs
+    # rounds differently in the last bit
+    return np.hypot(z.real, z.imag)
+
+
+def _generator_roots(g, k, values):
+    """Roots in variable k of one generator over every base row, as
+    np.roots finds them once coefficients at most LEAD_TRIM times the
+    largest are trimmed from the top.
+
+    Returns (roots, constant, c0): roots is (m, degree in k), NaN-padded;
+    constant marks rows where the trimmed slice is the constant c0.
+    Rows are grouped by effective degree and by exact low-order zeros
+    (np.roots's roots at 0), and each group's roots are the eigenvalues
+    of its stacked companion matrices, the LAPACK call np.roots makes.
+    """
     c = g.coeffs_in(k, values)
+    m, width = c.shape
     mags = np.abs(c)
-    top = mags.max()
-    if top == 0.0:
-        return c[:1]
-    keep = len(c)
-    while keep > 1 and mags[keep - 1] <= LEAD_TRIM * top:
-        keep -= 1
-    return c[:keep]
+    above = ~(mags <= LEAD_TRIM * mags.max(axis=1)[:, None])
+    last = width - 1 - np.argmax(above[:, ::-1], axis=1)
+    deg = np.where(above.any(axis=1), last, 0)
+    zeros = np.argmax(c != 0, axis=1)
+    roots = np.full((m, width - 1), np.nan + 0j, dtype=complex)
+    for n, z in sorted(set(zip(deg.tolist(), zeros.tolist()))):
+        if n == 0:
+            continue
+        rows = np.flatnonzero((deg == n) & (zeros == z))
+        size = n - z
+        if size:
+            p = c[rows, z:n + 1][:, ::-1]
+            comp = np.zeros((len(rows), size, size), dtype=complex)
+            comp[:, 0, :] = -p[:, 1:] / p[:, :1]
+            idx = np.arange(size - 1)
+            comp[:, idx + 1, idx] = 1.0
+            roots[rows, :size] = np.linalg.eigvals(comp)
+        roots[rows, size:n] = 0.0
+    return roots, deg == 0, c[:, 0]
 
 
-def _slice_roots(gens, k, values):
-    """Common roots in variable k of all generators at the given base
-    values.  Returns (roots, vacuous): vacuous means every generator is
-    identically zero on the slice."""
-    root_sets = []
+def slice_roots(gens, k, values):
+    """Common roots in variable k of all generators, for every row of an
+    (m, d) array of base values (entry k ignored).
+
+    Returns (roots, vacuous).  Row i of roots holds that slice's distinct
+    common roots, sorted by (real, imag) and NaN-padded on the right: the
+    first generator's roots that lie within ROOT_MATCH_TOL of a root of
+    every other generator, with a root dropped when within ROOT_DEDUPE of
+    the last one kept.  A generator that is constant on the slice is
+    ignored when the constant is negligible and leaves no roots
+    otherwise; vacuous marks rows where every generator is negligible.
+    All rows are solved together, column by column.
+    """
+    m = values.shape[0]
+    width = max(g.degree_in(k) for g in gens)
+    roots = np.full((m, max(width, 1)), np.nan + 0j, dtype=complex)
+    started = np.zeros(m, dtype=bool)
+    dead = np.zeros(m, dtype=bool)
+    vacuous = np.ones(m, dtype=bool)
     for g in gens:
-        c = _trimmed_coeffs(g, k, values)
-        if len(c) == 1:
-            if abs(c[0]) <= RESIDUAL_TOL * _scale(g):
-                continue
-            return np.array([], dtype=complex), False
-        root_sets.append(np.roots(c[::-1]))
-    if not root_sets:
-        return np.array([], dtype=complex), True
-    roots = root_sets[0]
-    for other in root_sets[1:]:
-        keep = [
-            r for r in roots if np.min(np.abs(other - r)) <= ROOT_MATCH_TOL
-        ]
-        roots = np.array(keep, dtype=complex)
-        if len(roots) == 0:
-            break
-    return roots, False
+        own, constant, c0 = _generator_roots(g, k, values)
+        negligible = constant & (_modulus(c0) <= RESIDUAL_TOL * _scale(g))
+        dead |= constant & ~negligible
+        vacuous &= negligible
+        first = ~constant & ~started
+        roots[first, : own.shape[1]] = own[first]
+        later = ~constant & started
+        if own.shape[1] and later.any():
+            dist = np.abs(own[later, None, :] - roots[later, :, None])
+            dist[np.isnan(dist)] = np.inf
+            matched = dist.min(axis=2) <= ROOT_MATCH_TOL
+            roots[later] = np.where(matched, roots[later], np.nan)
+        started |= first
+    roots[dead | vacuous] = np.nan
+    order = np.lexsort((roots.imag, roots.real), axis=1)
+    roots = np.take_along_axis(roots, order, axis=1)
+    keep = ~np.isnan(roots.real)
+    last = roots[:, 0]
+    for col in range(1, roots.shape[1]):
+        r = roots[:, col]
+        keep[:, col] &= _modulus(r - last) > ROOT_DEDUPE
+        last = np.where(keep[:, col], r, last)
+    order = np.argsort(~keep, axis=1, kind="stable")
+    roots = np.take_along_axis(np.where(keep, roots, np.nan), order, axis=1)
+    return roots, vacuous
 
 
-def _dedupe(roots):
-    out = []
-    for r in sorted(roots, key=lambda z: (z.real, z.imag)):
-        if not out or abs(r - out[-1]) > ROOT_DEDUPE:
-            out.append(r)
-    return np.array(out, dtype=complex)
+def _residuals(g, pts):
+    """|g| at each point, by scalar abs, evaluated a block of rows at a
+    time so that memory stays linear in the number of points."""
+    blocks = np.array_split(pts, len(pts) // 1024 + 1)
+    return np.concatenate([_modulus(g(b)) for b in blocks])
+
+
+def _lift(values, k, roots, select):
+    """Points with coordinate k set to each selected root, row-major."""
+    rows, cols = np.nonzero(select)
+    pts = values[rows]
+    pts[:, k] = roots[rows, cols]
+    return pts
 
 
 def sample_variety(generators, count=200, seed=0, tol=RESIDUAL_TOL):
@@ -120,8 +178,9 @@ def sample_variety(generators, count=200, seed=0, tol=RESIDUAL_TOL):
 
     Base values for the free coordinates come from jittered equal-area
     disk grids; the dependent coordinate is the first one any generator
-    actually involves.  Every returned point re-satisfies all generators
-    to the stated tolerance, independently of the root-finder.
+    actually involves.  All slices are solved in one batch by
+    slice_roots.  Every returned point re-satisfies all generators to the
+    stated tolerance, independently of the root-finder.
     """
     gens, d = _check_generators(generators)
     k = next(
@@ -132,29 +191,20 @@ def sample_variety(generators, count=200, seed=0, tol=RESIDUAL_TOL):
             "generators are constant; variety is degenerate"
         )
     rng = np.random.default_rng(seed)
-    free = [j for j in range(d) if j != k]
-    grids = {j: equal_area_disk(count, rng) for j in free}
-    found = []
-    for idx in range(count):
-        values = np.zeros(d, dtype=complex)
-        for j in free:
-            values[j] = grids[j][idx]
-        roots, vacuous = _slice_roots(gens, k, values)
-        if vacuous:
-            continue
-        for r in _dedupe(roots):
-            if abs(r) >= 1.0 - BOUNDARY_WINDOW:
-                continue
-            values[k] = r
-            pt = values.copy()
-            if all(abs(g(pt)) <= tol * _scale(g) for g in gens):
-                found.append(pt)
-        values[k] = 0.0
-    if not found:
+    values = np.zeros((count, d), dtype=complex)
+    for j in range(d):
+        if j != k:
+            values[:, j] = equal_area_disk(count, rng)
+    roots, _vacuous = slice_roots(gens, k, values)
+    pts = _lift(values, k, roots, _modulus(roots) < 1.0 - BOUNDARY_WINDOW)
+    good = np.all(
+        [_residuals(g, pts) <= tol * _scale(g) for g in gens], axis=0
+    )
+    if not good.any():
         raise DegenerateDataError(
             "no variety points found inside the polydisk"
         )
-    return np.array(found)
+    return pts[good]
 
 
 @dataclasses.dataclass(frozen=True)
@@ -182,8 +232,10 @@ class GraphReport:
 def extract_graph(generators, pair, grid=DEFAULT_GRID, seed=0):
     """Sheet structure of the variety over the 1-based coordinate pair.
 
-    Solves the dependent-coordinate slice over an equal-area base grid;
-    roots within the boundary window of the unit circle are ambiguous
+    Solves the dependent-coordinate slices over an equal-area base grid
+    in one batch (slice_roots), then re-checks every root's residual and
+    sorts the roots by the boundary window, for all base points at once.
+    Roots within the boundary window of the unit circle are ambiguous
     and excluded, roots beyond it are escapes (variety leaves the
     polydisk over an interior base point).
     """
@@ -209,50 +261,44 @@ def extract_graph(generators, pair, grid=DEFAULT_GRID, seed=0):
     base = np.stack([m.ravel() for m in mesh], axis=1)
 
     m = base.shape[0]
+    vals = np.zeros((m, d), dtype=complex)
+    vals[:, [j - 1 for j in pair]] = base
+    roots, vacuous = slice_roots(gens, k, vals)
+    found = ~np.isnan(roots.real)
+    pts = _lift(vals, k, roots, found)
+    bad = np.any(
+        [_residuals(g, pts) > RESIDUAL_TOL * _scale(g) for g in gens], axis=0
+    )
+    ok = np.zeros_like(found)
+    ok[found] = ~bad
+    mod = _modulus(roots)
+    interior = ok & (mod < 1.0 - BOUNDARY_WINDOW)
+    escaped = ok & (mod > 1.0 + BOUNDARY_WINDOW)
+    sheets = interior.sum(axis=1)
+    mask = vacuous | (sheets == 0)
+    single_rows = np.flatnonzero(~vacuous & (sheets == 1))
     values = np.full(m, np.nan + 0j, dtype=complex)
-    mask = np.zeros(m, dtype=bool)
-    escapes = 0
+    values[single_rows] = roots[single_rows, np.argmax(interior[single_rows], axis=1)]
+    multi = bool(np.any(sheets[~vacuous] > 1))
+    sup_abs = np.max(mod[interior]) if interior.any() else 0.0
+
+    # histogram keys in order of first occurrence along the grid
+    label = np.where(vacuous, -1, sheets)
+    keys, first, counts = np.unique(label, return_index=True, return_counts=True)
+    hist = {
+        ("degenerate" if key < 0 else int(key)): int(n)
+        for _, key, n in sorted(zip(first, keys, counts))
+    }
+
+    escape_rows = ~vacuous & (sheets == 0) & escaped.any(axis=1)
+    escapes = int(escape_rows.sum())
     witness = None
-    witness_mod = 0.0
-    sup_abs = 0.0
-    hist = {}
-    multi = False
-    for idx in range(m):
-        vals = np.zeros(d, dtype=complex)
-        for a, j in enumerate(pair):
-            vals[j - 1] = base[idx, a]
-        roots, vacuous = _slice_roots(gens, k, vals)
-        if vacuous:
-            mask[idx] = True
-            hist["degenerate"] = hist.get("degenerate", 0) + 1
-            continue
-        interior = []
-        escaped_here = []
-        for r in _dedupe(roots):
-            vals[k] = r
-            if any(abs(g(vals)) > RESIDUAL_TOL * _scale(g) for g in gens):
-                continue
-            if abs(r) < 1.0 - BOUNDARY_WINDOW:
-                interior.append(r)
-            elif abs(r) > 1.0 + BOUNDARY_WINDOW:
-                escaped_here.append(r)
-        vals[k] = 0.0
-        sheets = len(interior)
-        hist[sheets] = hist.get(sheets, 0) + 1
-        if sheets == 0:
-            mask[idx] = True
-            if escaped_here:
-                escapes += 1
-                worst = max(escaped_here, key=abs)
-                if abs(worst) > witness_mod:
-                    witness_mod = abs(worst)
-                    witness = (tuple(base[idx]), complex(worst))
-        else:
-            sup_abs = max(sup_abs, max(abs(r) for r in interior))
-            if sheets == 1:
-                values[idx] = interior[0]
-            else:
-                multi = True
+    if escapes:
+        esc_mod = np.where(escaped & escape_rows[:, None], mod, -np.inf)
+        col = np.argmax(esc_mod, axis=1)
+        row_max = esc_mod[np.arange(m), col]
+        idx = int(np.argmax(row_max))
+        witness = (tuple(base[idx]), complex(roots[idx, col[idx]]))
     covered = int(m - mask.sum())
     single = covered > 0 and not multi
     return GraphReport(
