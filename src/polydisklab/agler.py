@@ -539,6 +539,22 @@ def _random_blaschke_factor(rng, max_degree=2):
     return BlaschkeProduct(zeros=zeros, unimodular_constant=const, scale=1.0)
 
 
+def _random_colligation(rng, d, max_block):
+    """Random unitary colligation [[A, B], [C, D]] of size q + 1.
+
+    Coordinate r owns a block of 1..max_block state dimensions.  Returns
+    (A, B, C, D, reps) with reps[i] the coordinate of state dimension i,
+    so Delta(z) = diag(z[reps]).
+    """
+    blocks = [int(rng.integers(1, max_block + 1)) for _ in range(d)]
+    q = sum(blocks)
+    Z = rng.normal(size=(q + 1, q + 1)) + 1j * rng.normal(size=(q + 1, q + 1))
+    Q, Rm = np.linalg.qr(Z)
+    Q = Q * (np.diag(Rm) / np.abs(np.diag(Rm)))[None, :]
+    reps = np.concatenate([[r] * blocks[r] for r in range(d)])
+    return Q[0, 0], Q[0, 1:], Q[1:, 0], Q[1:, 1:], reps
+
+
 def _random_transfer_function(rng, d, max_block=3):
     """Transfer-function realization from a random unitary colligation.
 
@@ -546,16 +562,8 @@ def _random_transfer_function(rng, d, max_block=3):
     block-diagonal coordinate matrix; always in the Schur-Agler unit
     ball.
     """
-    blocks = [int(rng.integers(1, max_block + 1)) for _ in range(d)]
-    q = sum(blocks)
-    Z = rng.normal(size=(q + 1, q + 1)) + 1j * rng.normal(size=(q + 1, q + 1))
-    Q, Rm = np.linalg.qr(Z)
-    Q = Q * (np.diag(Rm) / np.abs(np.diag(Rm)))[None, :]
-    A = Q[0, 0]
-    Bv = Q[0, 1:]
-    Cv = Q[1:, 0]
-    Dm = Q[1:, 1:]
-    reps = np.concatenate([[r] * blocks[r] for r in range(d)])
+    A, Bv, Cv, Dm, reps = _random_colligation(rng, d, max_block)
+    q = len(reps)
 
     def phi(point):
         delta = np.array([point[r] for r in reps], dtype=complex)

@@ -21,7 +21,13 @@ import dataclasses
 
 import numpy as np
 
-from .agler import DualKernel, Feasible, agler_feasible, sample_schur_agler_function
+from .agler import (
+    DualKernel,
+    Feasible,
+    _random_colligation,
+    agler_feasible,
+    sample_schur_agler_function,
+)
 from .errors import (
     ConditioningError,
     DimensionMismatchError,
@@ -189,16 +195,7 @@ def _transfer_taylor(rng, d, degree, max_block=2):
     Expands phi(z) = A + B Delta (I - D Delta)^{-1} C as a sum over
     coordinate words and keeps total degree <= degree.
     """
-    blocks = [int(rng.integers(1, max_block + 1)) for _ in range(d)]
-    q = sum(blocks)
-    Z = rng.normal(size=(q + 1, q + 1)) + 1j * rng.normal(size=(q + 1, q + 1))
-    Q, Rm = np.linalg.qr(Z)
-    Q = Q * (np.diag(Rm) / np.abs(np.diag(Rm)))[None, :]
-    A = Q[0, 0]
-    Bv = Q[0, 1:]
-    Cv = Q[1:, 0]
-    Dm = Q[1:, 1:]
-    reps = np.concatenate([[r] * blocks[r] for r in range(d)])
+    A, Bv, Cv, Dm, reps = _random_colligation(rng, d, max_block)
     masks = [reps == r for r in range(d)]
 
     coeffs = {(0,) * d: A}

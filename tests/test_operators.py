@@ -1,6 +1,8 @@
 """Tests for Ando-tuple construction from dual kernels, polynomial
 functional calculus, and the von Neumann inequality checks."""
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -13,6 +15,7 @@ from polydisklab import (
     defect_identity_residual,
     evaluate_function,
     random_polynomial,
+    sample_schur_agler_function,
     sup_on_torus,
     violation_witness,
     von_neumann_check,
@@ -23,7 +26,10 @@ from polydisklab.errors import (
     DomainError,
     UndecidedError,
 )
+from polydisklab._serialize import dumps_canonical
 from polydisklab.polynomials import effective_torus_grid
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
 
 CANONICAL = PolyPickData(d=2, nodes=((0.0, 0.0), (0.5, 0.5)), targets=(0.0, 0.7))
 
@@ -125,6 +131,28 @@ class TestVonNeumann:
         sup = sup_on_torus(p)
         norm = float(np.linalg.norm(evaluate_function(canonical_tuple, p), 2))
         assert norm / sup == pytest.approx(report.max_ratio, rel=1e-9)
+
+    def test_colligation_draws_are_unchanged(self, canonical_tuple):
+        # the von Neumann samples and the Schur-Agler transfer functions
+        # draw their random unitary colligations from one helper; the
+        # recorded values (tests/golden/colligation_draws.json) pin those
+        # draws exactly.  At this seed the worst function is a Taylor
+        # truncation of a transfer function.
+        report = von_neumann_check(canonical_tuple, samples=30, seed=2)
+        values = [
+            sample_schur_agler_function(np.random.default_rng(seed), 3)(
+                (0.3 + 0.1j, -0.2j, 0.5)
+            )
+            for seed in range(8)
+        ]
+        got = dumps_canonical({
+            "von_neumann_check": {
+                "max_ratio": report.max_ratio,
+                "worst_function": report.worst_function.to_payload(),
+            },
+            "sample_schur_agler_function": values,
+        })
+        assert got == (GOLDEN / "colligation_draws.json").read_text()
 
 
 class TestViolationWitness:
