@@ -330,17 +330,23 @@ def _polish_blaschke(nodes, values, zeros, c):
                 best_res = res
             if res < 1e-14:
                 break
-            cols = []
-            with np.errstate(divide="ignore", invalid="ignore"):
-                for j in range(k):
-                    dx = f * (-1.0 / (lams - a[j])
-                              + lams / (1.0 - np.conj(a[j]) * lams))
-                    dy = f * (-1j / (lams - a[j])
-                              - 1j * lams / (1.0 - np.conj(a[j]) * lams))
-                    cols.extend([dx, dy])
-            cols.append(1j * f)
-            cols.append(f)
-            J = np.array(cols).T
+            # zero j's columns: the other factors times the derivative of
+            # b_j = (lam - a_j) / (1 - conj(a_j) lam) in x_j and y_j
+            # (a_j = x_j + i y_j), so they stay finite when a zero sits
+            # on a node
+            den = 1.0 - np.conj(a)[:, None] * lams[None, :]
+            fac = (lams[None, :] - a[:, None]) / den
+            ones = np.ones((1, len(lams)), dtype=complex)
+            before = np.cumprod(np.vstack([ones, fac[:-1]]), axis=0)
+            after = np.cumprod(np.vstack([ones, fac[:0:-1]]), axis=0)[::-1]
+            rest = np.exp(ls + 1j * th) * before * after
+            conj_part = fac * lams[None, :] / den
+            cols = np.empty((2 * k + 2, len(lams)), dtype=complex)
+            cols[0:2 * k:2] = rest * (-1.0 / den + conj_part)
+            cols[1:2 * k:2] = rest * (-1j / den - 1j * conj_part)
+            cols[-2] = 1j * f
+            cols[-1] = f
+            J = cols.T
             if not np.all(np.isfinite(J)):
                 break
             Jr = np.vstack([J.real, J.imag])

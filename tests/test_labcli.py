@@ -64,6 +64,17 @@ class TestPickSolve:
         assert out["extremal"] is False
         assert out["certificate"]["type"] == "blaschke"
 
+    def test_certificate_scale_is_the_norm_with_a_zero_on_a_node(
+            self, disk_problem, capsys):
+        # the seed product has its zero at the node 0; the Gauss-Newton
+        # polish must still remove the reduction level's margin
+        assert main(["pick-solve", disk_problem, "--json"]) == 0
+        out = json.loads(capsys.readouterr().out)
+        (zero,) = out["certificate"]["zeros"]
+        assert abs(complex(*zero)) < 1e-12
+        scale = out["certificate"]["scale"]
+        assert scale == pytest.approx(out["minimal_norm"], rel=1e-12)
+
     def test_singular_szego_gram_exits_3(self, tmp_path, capsys):
         # nodes 1e-9 apart: the failed eigensolve is reported, not a traceback
         path = write_problem(
