@@ -21,13 +21,7 @@ import dataclasses
 
 import numpy as np
 
-from .agler import (
-    DualKernel,
-    Feasible,
-    _random_colligation,
-    agler_feasible,
-    sample_schur_agler_function,
-)
+from .agler import DualKernel, Feasible, _random_colligation, agler_feasible
 from .errors import (
     ConditioningError,
     DimensionMismatchError,

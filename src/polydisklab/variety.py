@@ -278,13 +278,16 @@ def extract_graph(generators, pair, grid=DEFAULT_GRID, seed=0):
     mask = vacuous | (sheets == 0)
     single_rows = np.flatnonzero(~vacuous & (sheets == 1))
     values = np.full(m, np.nan + 0j, dtype=complex)
-    values[single_rows] = roots[single_rows, np.argmax(interior[single_rows], axis=1)]
+    first_sheet = np.argmax(interior[single_rows], axis=1)
+    values[single_rows] = roots[single_rows, first_sheet]
     multi = bool(np.any(sheets[~vacuous] > 1))
     sup_abs = np.max(mod[interior]) if interior.any() else 0.0
 
     # histogram keys in order of first occurrence along the grid
     label = np.where(vacuous, -1, sheets)
-    keys, first, counts = np.unique(label, return_index=True, return_counts=True)
+    keys, first, counts = np.unique(
+        label, return_index=True, return_counts=True
+    )
     hist = {
         ("degenerate" if key < 0 else int(key)): int(n)
         for _, key, n in sorted(zip(first, keys, counts))
