@@ -327,7 +327,7 @@ def _solve_dependent(gens, k, base_idx, base):
         vals, k, roots, variety_mod._modulus(roots) <= 1.0 + 1e-9
     )
     good = np.all(
-        [variety_mod._residuals(g, pts) <= 1e-7 * variety_mod._scale(g)
+        [variety_mod._modulus(g(pts)) <= 1e-7 * variety_mod._scale(g)
          for g in gens],
         axis=0,
     )

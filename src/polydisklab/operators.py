@@ -220,6 +220,15 @@ def _transfer_taylor(rng, d, degree, max_block=2):
     return Polynomial(d, coeffs)
 
 
+def _sample_test_polynomial(rng, d, max_degree):
+    """One sample of von_neumann_check: with probability 0.7 a dense
+    Gaussian polynomial of degree uniform in 1..max_degree, else a Taylor
+    truncation of a random transfer function."""
+    if rng.uniform() < 0.7:
+        return random_polynomial(rng, d, int(rng.integers(1, max_degree + 1)))
+    return _transfer_taylor(rng, d, max_degree)
+
+
 @dataclasses.dataclass(frozen=True)
 class VNReport:
     """Outcome of a randomized von Neumann inequality check."""
@@ -243,11 +252,7 @@ def von_neumann_check(tup, samples=VN_SAMPLES, max_degree=VN_MAX_DEGREE, seed=0)
     worst_p = None
     grid_used = effective_torus_grid(tup.d)
     for _s in range(samples):
-        if rng.uniform() < 0.7:
-            deg = int(rng.integers(1, max_degree + 1))
-            p = random_polynomial(rng, tup.d, deg)
-        else:
-            p = _transfer_taylor(rng, tup.d, max_degree)
+        p = _sample_test_polynomial(rng, tup.d, max_degree)
         sup = sup_on_torus(p)
         if sup <= 0.0:
             continue

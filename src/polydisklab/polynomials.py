@@ -2,9 +2,11 @@
 
 Shared by the variety tools (generators), the operator-theory checks
 (test functions on the torus), and the experiment drivers.  Polynomials
-are stored sparsely as exponent-tuple -> coefficient maps; the supremum
-on the unit torus is computed from an FFT evaluation grid followed by
-local refinement around the best candidates.
+are stored sparsely as exponent-tuple -> coefficient maps.  The
+supremum on the unit torus starts from an FFT evaluation grid and
+refines the best candidates in rounds; each round evaluates a local
+tensor grid around every candidate at once, by contracting per-axis
+tables of exp(i a theta) with the coefficient tensor.
 """
 
 from __future__ import annotations
@@ -16,12 +18,18 @@ from .errors import DomainError
 MAX_DEGREE = 12
 
 # Torus supremum: base FFT grid per axis (total size capped), number of
-# candidates kept for refinement, and refinement stages.
+# candidates kept for refinement, window shrinks per candidate, local
+# grid points per axis, and the factor of each shrink.
 TORUS_GRID = 128
 TORUS_GRID_CAP = 2 ** 21
 REFINE_CANDIDATES = 12
-REFINE_STAGES = 6
+REFINE_STAGES = 14
 REFINE_POINTS = 9
+REFINE_SHRINK = 3.0
+
+# Polynomial.__call__ evaluates this many points at a time, so that its
+# (points x terms x d) power tensor stays bounded.
+EVAL_BLOCK = 1024
 
 _COEFF_CHOP = 1e-15
 
@@ -120,7 +128,10 @@ class Polynomial:
             out = np.zeros(pts.shape[0], dtype=complex)
             return out[0] if single else out
         A, c = self._arrays()
-        vals = np.prod(pts[:, None, :] ** A[None, :, :], axis=2) @ c
+        blocks = np.split(pts, range(EVAL_BLOCK, len(pts), EVAL_BLOCK))
+        vals = np.concatenate(
+            [np.prod(b[:, None, :] ** A[None, :, :], axis=2) @ c for b in blocks]
+        )
         return vals[0] if single else vals
 
     def __add__(self, other):
@@ -259,26 +270,73 @@ def effective_torus_grid(d, grid=TORUS_GRID):
 def torus_grid_values(p, grid=TORUS_GRID):
     """|p| on the grid of grid-th roots of unity in each coordinate.
 
-    Zero-pads the coefficient tensor and applies an inverse FFT per
-    axis, which evaluates sum c_a exp(i a . theta) exactly on the grid.
+    Applies an inverse FFT per axis to the coefficient tensor zero-padded
+    to grid^d, which evaluates sum c_a exp(i a . theta) exactly on the
+    grid.  The axes go last to first, as in np.fft.ifftn, and each is
+    padded only as it is transformed, so the all-zero rows of the padded
+    tensor are never transformed; the result is ifftn's, bit for bit.
     """
     grid = effective_torus_grid(p.d, grid)
     C = _coefficient_tensor(p)
     if any(s > grid for s in C.shape):
         raise DomainError("grid too coarse for the polynomial degree")
-    pad = np.zeros((grid,) * p.d, dtype=complex)
-    pad[tuple(slice(0, s) for s in C.shape)] = C
-    vals = np.fft.ifftn(pad) * grid ** p.d
-    return np.abs(vals), grid
+    vals = C
+    for axis in reversed(range(p.d)):
+        vals = np.fft.ifft(vals, n=grid, axis=axis)
+    return np.abs(vals * grid ** p.d), grid
+
+
+def _phases(angles, width):
+    """exp(i a angle) for a = 0..width-1, along a new last axis."""
+    return np.exp(1j * np.multiply.outer(angles, np.arange(width)))
+
+
+def _local_grid_values(C, at_centre, at_offset):
+    """Values of p on a local tensor grid around every candidate at once.
+
+    C is the coefficient tensor of p (see _coefficient_tensor).
+    at_centre = _phases(thetas, w) holds the (c, d) window centres and
+    at_offset = _phases(offsets, w) the (c, P) or (P,) angle offsets
+    taken along every axis, with w at least max(C.shape).  Returns the
+    complex values at thetas[c] + (offsets[c, i_0], ..., offsets[c, i_{d-1}])
+    as a (c, P, ..., P) array.  Axis k contributes the table
+    E_k[c, i, a] = exp(i a thetas[c, k]) * exp(i a offsets[c, i]),
+    a = 0..n_k, and the tables are contracted with C one axis at a time
+    by batched matmuls, which for d = 2 is (E_0 @ C) @ E_1^T.
+    """
+    # T holds the axes still to contract, then the grid axes done so far
+    T = C[None]
+    for k, n in enumerate(C.shape):
+        E = at_centre[:, k, None, :n] * at_offset[..., :n]
+        out = E @ T.reshape(T.shape[0], n, -1)
+        out = out.reshape(E.shape[:2] + T.shape[2:])
+        T = out.transpose(0, *range(2, out.ndim), 1)
+    return T
 
 
 def sup_on_torus(p, grid=TORUS_GRID, stages=REFINE_STAGES):
     """Supremum of |p| over the unit torus.
 
-    FFT grid scan followed by stages of shrinking local grids around the
-    best candidates; the local spacing contracts fast enough that the
-    final estimate is accurate to roughly 1e-9 relative at moderate
-    degree.
+    An FFT grid scan picks the REFINE_CANDIDATES best grid points.  Each
+    round then evaluates a REFINE_POINTS^d local grid around every
+    candidate in one batch (_local_grid_values) and moves each candidate
+    to its best local point.  A window starts at half-width one grid
+    spacing, 2 pi / grid, and shrinks REFINE_SHRINK-fold whenever its best
+    point is interior, so the next window still covers the local spacing
+    (a quarter of the half-width) around it.  A window whose best point
+    lies on its edge keeps its size, since the maximum may lie beyond:
+    on a thin slanted ridge the best sample can sit several spacings
+    from the crest's maximum along the ridge.  Refinement ends once every
+    window has shrunk `stages` times (by default the last local spacing
+    is then below 1e-8 rad), or after 2 * stages rounds.
+
+    Measured against certified brackets from a branch and bound on
+    |p|^2 (tests/test_polynomials.py), no result fell short of the
+    certified upper bound by more than 2e-9 relative on 5700 d = 2 draws
+    of von_neumann_check's sampler, near-inner transfer-function
+    truncations included; on 1200 of them the largest gap was 9.9e-10,
+    the width of the bracket itself.  The value is attained on the
+    torus, so it exceeds the supremum only by rounding.
     """
     if not p.coeffs:
         return 0.0
@@ -290,21 +348,24 @@ def sup_on_torus(p, grid=TORUS_GRID, stages=REFINE_STAGES):
     thetas = centers.astype(float) * (2.0 * np.pi / grid)
     best = float(flat[idx].max())
 
+    C = _coefficient_tensor(p)
+    width = max(C.shape)
     offsets = np.linspace(-1.0, 1.0, REFINE_POINTS)
-    mesh = np.stack(
-        np.meshgrid(*([offsets] * p.d), indexing="ij"), axis=-1
-    ).reshape(-1, p.d)
-    h = np.pi / grid
-    for _stage in range(stages):
-        new_thetas = []
-        for th in thetas:
-            local = th[None, :] + h * mesh
-            pts = np.exp(1j * local)
-            vals = np.abs(p(pts))
-            k = int(np.argmax(vals))
-            if vals[k] > best:
-                best = float(vals[k])
-            new_thetas.append(local[k])
-        thetas = np.array(new_thetas)
-        h /= REFINE_POINTS - 1.0
+    strides = REFINE_POINTS ** np.arange(p.d - 1, -1, -1)
+    half_widths = (2.0 * np.pi / grid) / REFINE_SHRINK ** np.arange(stages + 1)
+    offset_phases = _phases(np.multiply.outer(half_widths, offsets), width)
+    shrinks = np.zeros(take, dtype=int)
+    for _round in range(2 * stages):
+        if shrinks.min() >= stages:
+            break
+        vals = _local_grid_values(
+            C, _phases(thetas, width), offset_phases[shrinks]
+        )
+        vals = np.abs(vals).reshape(take, -1)
+        k = np.argmax(vals, axis=1)
+        best = max(best, float(vals.max()))
+        steps = k[:, None] // strides % REFINE_POINTS
+        thetas = thetas + half_widths[shrinks, None] * offsets[steps]
+        interior = np.all((steps > 0) & (steps < REFINE_POINTS - 1), axis=1)
+        shrinks = np.minimum(shrinks + interior, stages)
     return best

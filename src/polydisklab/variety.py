@@ -158,13 +158,6 @@ def slice_roots(gens, k, values):
     return roots, vacuous
 
 
-def _residuals(g, pts):
-    """|g| at each point, by scalar abs, evaluated a block of rows at a
-    time so that memory stays linear in the number of points."""
-    blocks = np.array_split(pts, len(pts) // 1024 + 1)
-    return np.concatenate([_modulus(g(b)) for b in blocks])
-
-
 def _lift(values, k, roots, select):
     """Points with coordinate k set to each selected root, row-major."""
     rows, cols = np.nonzero(select)
@@ -198,7 +191,7 @@ def sample_variety(generators, count=200, seed=0, tol=RESIDUAL_TOL):
     roots, _vacuous = slice_roots(gens, k, values)
     pts = _lift(values, k, roots, _modulus(roots) < 1.0 - BOUNDARY_WINDOW)
     good = np.all(
-        [_residuals(g, pts) <= tol * _scale(g) for g in gens], axis=0
+        [_modulus(g(pts)) <= tol * _scale(g) for g in gens], axis=0
     )
     if not good.any():
         raise DegenerateDataError(
@@ -267,7 +260,7 @@ def extract_graph(generators, pair, grid=DEFAULT_GRID, seed=0):
     found = ~np.isnan(roots.real)
     pts = _lift(vals, k, roots, found)
     bad = np.any(
-        [_residuals(g, pts) > RESIDUAL_TOL * _scale(g) for g in gens], axis=0
+        [_modulus(g(pts)) > RESIDUAL_TOL * _scale(g) for g in gens], axis=0
     )
     ok = np.zeros_like(found)
     ok[found] = ~bad
