@@ -31,7 +31,6 @@ from .balance import scan_balanced_pairs
 from .errors import (
     ConditioningError,
     DegenerateDataError,
-    DomainError,
     InfeasibleConstraintsError,
     PolydiskLabError,
     ResolutionExhaustedError,
@@ -237,7 +236,7 @@ def cmd_pick_solve(args):
                     "unimodular_constant": bl.unimodular_constant,
                     "scale": bl.scale,
                 }
-            except PolydiskLabError:
+            except DegenerateDataError:
                 certificate = None
         result["certificate"] = certificate
         human = []
@@ -593,10 +592,7 @@ def main(argv=None):
     try:
         args = parser.parse_args(argv)
         return args.func(args)
-    except _UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except (FileNotFoundError, json.JSONDecodeError) as exc:
+    except (_UsageError, FileNotFoundError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except ResolutionExhaustedError as exc:
@@ -610,9 +606,6 @@ def main(argv=None):
     except (DegenerateDataError, ConditioningError, InfeasibleConstraintsError) as exc:
         print(f"degenerate geometry: {exc}", file=sys.stderr)
         return EXIT_DEGENERATE
-    except DomainError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
     except PolydiskLabError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT

@@ -6,9 +6,10 @@ Value data uses the classical Pick matrix
 constraints extend it with the mixed Wirtinger derivatives of the same
 kernel.  The Pick matrix at level t is A0 - A1 / t^2, so minimal norms
 come from one generalized eigenvalue of the pencil (A1, A0), Blaschke
-interpolants from the Schur reduction, and the origin test from
-an iteratively reweighted least-squares l1 minimizer with an LP
-cross-check.
+interpolants from its eigenvectors (a Gram factor of the singular Pick
+matrix, turned into a unitary colligation by the lurking isometry), and
+the origin test from an iteratively reweighted least-squares l1
+minimizer.
 """
 
 from __future__ import annotations
@@ -17,7 +18,6 @@ import dataclasses
 
 import numpy as np
 from scipy.linalg import eigh
-from scipy.optimize import linprog
 
 from .disk_geometry import BlaschkeProduct, check_disk_point
 from .errors import (
@@ -39,13 +39,6 @@ NORM_RTOL = 1e-15
 # is_extremal's window on |minimal_norm - 1|, per unit of cond(A0), wide
 # enough that rounding cannot move extremal data out of it.
 EXTREMAL_RTOL = 10.0 * NORM_RTOL
-
-# schur_construct runs the Schur reduction this far (relative) above the
-# computed norm.  At the computed norm itself, a few 1e-15 above the exact
-# one, the reduction saw |g| up to 1.36 > 1 on 5 of 6000 extremal value
-# problems (8 nodes, a degree-2 product); _polish_blaschke refits the
-# scale afterwards.
-SCHUR_LEVEL_MARGIN = 1e-10
 
 # Interpolation residual allowed for constructed Blaschke products.
 INTERP_TOL = 1e-8
@@ -138,15 +131,21 @@ def solvable(data, t, psd_tol=PSD_TOL):
     return float(np.linalg.eigvalsh(A0 - A1 / t**2).min()) >= psd_tol
 
 
-def _critical_level(A0, A1):
-    # A0 - A1/t^2 is PSD iff t^2 >= every eigenvalue of the pencil (A1, A0).
+def _pencil_eigh(A0, A1, eigvals_only):
+    """Ascending eigenvalues (and A0-orthonormal eigenvectors unless
+    eigvals_only) of the pencil (A1, A0)."""
     try:
-        top = float(eigh(A1, A0, eigvals_only=True)[-1])
+        return eigh(A1, A0, eigvals_only=eigvals_only)
     except np.linalg.LinAlgError as exc:
         raise ConditioningError(
             "generalized eigensolve failed; the Szegő Gram matrix of the "
             f"nodes is numerically singular or ill conditioned ({exc})"
         ) from exc
+
+
+def _critical_level(A0, A1):
+    # A0 - A1/t^2 is PSD iff t^2 >= every eigenvalue of the pencil (A1, A0).
+    top = float(_pencil_eigh(A0, A1, eigvals_only=True)[-1])
     return float(np.sqrt(max(top, 0.0)))
 
 
@@ -173,115 +172,56 @@ def is_extremal(data):
     return abs(_critical_level(A0, A1) - 1.0) <= EXTREMAL_RTOL * np.linalg.cond(A0)
 
 
-def _poly_mul(p, q):
-    return np.convolve(p, q)
-
-
-def _schur_reduce(nodes, values):
-    # returns ascending-coefficient (P, Q) with F = P/Q interpolating
-    if len(nodes) == 1:
-        return np.array([values[0]], dtype=complex), np.array([1.0], dtype=complex)
-    alpha = values[0]
-    base = nodes[0]
-    if abs(alpha) >= 1.0 - 1e-12:
-        spread = max(abs(v - alpha) for v in values)
-        if spread > 1e-7:
-            raise ConditioningError(
-                "unimodular value with inconsistent remaining data"
-            )
-        return np.array([alpha], dtype=complex), np.array([1.0], dtype=complex)
-    gvals = []
-    for lam, u in zip(nodes[1:], values[1:]):
-        num = (u - alpha) / (1.0 - np.conj(alpha) * u)
-        den = (lam - base) / (1.0 - np.conj(base) * lam)
-        g = num / den
-        if abs(g) > 1.0 + 1e-6:
-            raise ConditioningError(
-                f"Schur step produced |g| = {abs(g):.9f} > 1; data is too "
-                "close to the boundary of solvability"
-            )
-        gvals.append(g)
-    P1, Q1 = _schur_reduce(nodes[1:], gvals)
-    blo = np.array([-base, 1.0], dtype=complex)
-    bhi = np.array([1.0, -np.conj(base)], dtype=complex)
-    P = alpha * _poly_mul(bhi, Q1) + _poly_mul(blo, P1)
-    Q = _poly_mul(bhi, Q1) + np.conj(alpha) * _poly_mul(blo, P1)
-    return P, Q
-
-
 def schur_construct(data):
-    """Blaschke-product interpolant at the minimal norm level.
+    """Blaschke-product interpolant at the minimal norm level, realized
+    from the eigenvectors of the Pick pencil (the lurking isometry).
 
-    Runs the Schur reduction on the data scaled to the Schur class, then
-    extracts zeros and the unimodular constant from the resulting
-    rational function.  Degree is at most n - 1; interpolation residual
-    is verified to 1e-8.
+    With A1 X = A0 X diag(mu) and X* A0 X = I, the Pick matrix at the
+    level t^2 = max(mu) is H H* for H = A0 X diag(sqrt(p)),
+    p = 1 - mu / t^2.  Its rank r counts the p above
+    EXTREMAL_RTOL * cond(A0), is_extremal's window, and only those
+    columns of H are kept.  The Pick identity
+    <h_i, h_j> + v_i conj(v_j) = 1 + lam_i conj(lam_j) <h_i, h_j>, for the
+    rows h_i of H and the scaled targets v_i = w_i / t, says that
+    V [1; lam_i h_i] = [v_i; h_i] defines a unitary V = [[a, B], [C, D]];
+    it is the colligation of f(z) = a + z B (I - z D)^-1 C, a Blaschke
+    product of degree r whose zeros are conj(eig(D)).  V comes from one
+    least-squares solve over all nodes, the unimodular constant from a
+    least-squares fit on the nodes, and _polish_blaschke refines both.
+    The interpolation residual is verified to INTERP_TOL.
     """
     if data.derivative_constraints:
         raise DomainError(
             "schur_construct supports value constraints only; derivative "
             "data is handled by the solvability tests"
         )
-    t = minimal_norm(data)
-    if t == 0.0:
+    A0, A1 = _pencil(data)
+    mu, X = _pencil_eigh(A0, A1, eigvals_only=False)
+    if not mu[-1] > 0.0:
         raise DegenerateDataError(
             "identically zero data has no Blaschke representation"
         )
-    t *= 1.0 + SCHUR_LEVEL_MARGIN
-    values = [w / t for w in data.targets]
-    P, Q = _schur_reduce(list(data.nodes), values)
-
-    scale = np.max(np.abs(P))
-    if scale == 0.0:
-        raise DegenerateDataError("constructed interpolant is identically zero")
-    keep = len(P)
-    while keep > 1 and abs(P[keep - 1]) <= 1e-10 * scale:
-        keep -= 1
-    P = P[:keep]
-
-    if keep == 1:
-        zeros = []
-    else:
-        zeros = list(np.roots(P[::-1]))
-    # The recursion can leave a common factor in P and Q (extremal data
-    # sampled at more nodes than the Blaschke degree); cancel any root
-    # of P that Q also annihilates.  The final interpolation-residual
-    # check below guards against over-cancellation.
-    qscale = float(np.max(np.abs(Q)))
-    survivors = []
-    for z in zeros:
-        qval = abs(np.polyval(Q[::-1], z))
-        if qval > 1e-6 * qscale * max(1.0, abs(z)) ** (len(Q) - 1):
-            survivors.append(z)
-    zeros = survivors
-    inside = [z for z in zeros if abs(z) < 1.0 - 1e-12]
-    if len(inside) != len(zeros):
+    t = float(np.sqrt(mu[-1]))
+    p = 1.0 - mu / mu[-1]
+    keep = p > EXTREMAL_RTOL * np.linalg.cond(A0)
+    H = A0 @ X[:, keep] * np.sqrt(p[keep])
+    lams = np.asarray(data.nodes, dtype=complex)
+    values = np.asarray(data.targets, dtype=complex) / t
+    # rows [1, lam_i h_i] Vt = [v_i, h_i], so Vt is V transposed
+    Vt, *_ = np.linalg.lstsq(np.hstack([np.ones((len(lams), 1)), lams[:, None] * H]),
+                             np.hstack([values[:, None], H]), rcond=None)
+    zeros = np.conj(np.linalg.eigvals(Vt[1:, 1:]))
+    if np.any(np.abs(zeros) >= 1.0 - 1e-12):
         raise ConditioningError(
             "interpolant zero on or outside the unit circle; nodes are too "
             "close to the boundary for a stable construction"
         )
-
-    def b0(z):
-        val = 1.0 + 0.0j
-        for a in inside:
-            val *= (z - a) / (1.0 - np.conj(a) * z)
-        return val
-
-    consts = []
-    for lam, u in zip(data.nodes, values):
-        denom = b0(lam)
-        if abs(denom) > 1e-8:
-            consts.append(u / denom)
-    if not consts:
-        raise ConditioningError("could not normalize the unimodular constant")
-    c = consts[0]
-    if abs(abs(c) - 1.0) > 1e-6:
-        raise ConditioningError(
-            f"constructed constant has modulus {abs(c):.9f}, not unimodular"
-        )
-    inside, c, s = _polish_blaschke(data.nodes, values, inside, c / abs(c))
+    b0 = np.prod((lams[:, None] - zeros) / (1.0 - np.conj(zeros) * lams[:, None]),
+                 axis=1)
+    c = np.vdot(b0, values) / np.vdot(b0, b0)
+    zeros, c, s = _polish_blaschke(data.nodes, values, zeros, c)
     result = BlaschkeProduct(
-        zeros=tuple(inside), unimodular_constant=c, scale=t * s
+        zeros=tuple(zeros), unimodular_constant=c, scale=t * s
     )
     resid = max(
         abs(result(lam) - w) for lam, w in zip(data.nodes, data.targets)
@@ -296,12 +236,12 @@ def schur_construct(data):
 def _polish_blaschke(nodes, values, zeros, c):
     """Gauss-Newton refinement of Blaschke zeros, phase, and scale.
 
-    The Schur recursion seeds the zeros well but can lose a few digits
-    on clustered nodes, and the level it reduces at, a little above the
-    norm, is inconsistent with an exact fit (the margin amplifies into
-    the recovered zeros).  Refining zeros, phase, and a free scale factor
-    together makes the system square and restores machine precision.  Falls back
-    to the seed on any failure.
+    The realization in schur_construct seeds the zeros to a few units
+    of rounding times the conditioning of the data; the level it is
+    built at is itself rounded.  Refining zeros, the phase of c, and a
+    free scale factor together restores machine precision at the nodes.
+    Returns the seed unchanged when it already fits to 1e-13, and falls
+    back to it on any failure.
     """
     lams = np.array(nodes, dtype=complex)
     vals = np.array(values, dtype=complex)
@@ -418,38 +358,6 @@ def _irls_l1(V, u):
             mu = np.linalg.lstsq(M, u, rcond=None)[0]
             c = Winv * (np.conj(V.T) @ mu)
     return c
-
-
-def _l1_minimum_lp(V, u, phases=32):
-    """Coarse LP relaxation of the same l1 problem.
-
-    Approximates |c_r| by the maximum of Re(exp(-i phi) c_r) over a phase
-    grid, giving a lower bound within a factor cos(pi / phases).  Used as
-    an independent check on the IRLS path.
-    """
-    K, d = V.shape
-    nv = 3 * d  # x_r, y_r, t_r
-    cost = np.concatenate([np.zeros(2 * d), np.ones(d)])
-    phis = 2.0 * np.pi * np.arange(phases) / phases
-    A_ub = np.zeros((phases * d, nv))
-    for s, phi in enumerate(phis):
-        for r in range(d):
-            row = s * d + r
-            A_ub[row, r] = np.cos(phi)
-            A_ub[row, d + r] = np.sin(phi)
-            A_ub[row, 2 * d + r] = -1.0
-    b_ub = np.zeros(phases * d)
-    A_eq = np.zeros((2 * K, nv))
-    A_eq[:K, :d] = V.real
-    A_eq[:K, d : 2 * d] = -V.imag
-    A_eq[K:, :d] = V.imag
-    A_eq[K:, d : 2 * d] = V.real
-    b_eq = np.concatenate([u.real, u.imag])
-    bounds = [(None, None)] * (2 * d) + [(0, None)] * d
-    res = linprog(cost, A_ub=A_ub, b_ub=b_ub, A_eq=A_eq, b_eq=b_eq, bounds=bounds)
-    if not res.success:
-        raise InfeasibleConstraintsError(f"LP relaxation failed: {res.message}")
-    return float(res.fun)
 
 
 def infinitesimal_extremal_origin(data):

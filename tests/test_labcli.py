@@ -9,7 +9,7 @@ import pytest
 
 from polydisklab import agler, labcli
 from polydisklab._serialize import dumps_canonical
-from polydisklab.errors import UndecidedError
+from polydisklab.errors import ConditioningError, UndecidedError
 from polydisklab.labcli import _UsageError, main, parse_complex, parse_pair
 
 
@@ -66,8 +66,8 @@ class TestPickSolve:
 
     def test_certificate_scale_is_the_norm_with_a_zero_on_a_node(
             self, disk_problem, capsys):
-        # the seed product has its zero at the node 0; the Gauss-Newton
-        # polish must still remove the reduction level's margin
+        # the product has its zero at the node 0, and the certificate is
+        # built at the norm itself, so its scale is the printed norm
         assert main(["pick-solve", disk_problem, "--json"]) == 0
         out = json.loads(capsys.readouterr().out)
         (zero,) = out["certificate"]["zeros"]
@@ -85,6 +85,28 @@ class TestPickSolve:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "degenerate geometry" in captured.err
+
+    def test_disk_certificate_conditioning_error_exits_3(
+            self, disk_problem, monkeypatch, capsys):
+        # a failed construction is reported, not printed as a null certificate
+        def refuse(data):
+            raise ConditioningError("forced")
+
+        monkeypatch.setattr(labcli, "schur_construct", refuse)
+        assert main(["pick-solve", disk_problem]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "degenerate geometry" in captured.err
+
+    def test_zero_targets_give_null_certificate(self, tmp_path, capsys):
+        path = write_problem(
+            tmp_path / "zero.json", "disk_pick",
+            {"nodes": [[0.0, 0.0], [0.5, 0.0]], "targets": [[0.0, 0.0], [0.0, 0.0]]},
+        )
+        assert main(["pick-solve", path]) == 0
+        out = json.loads(capsys.readouterr().out)
+        assert out["minimal_norm"] == 0.0
+        assert out["certificate"] is None
 
     def test_poly_problem_canonical(self, poly_problem, capsys):
         assert main(["pick-solve", poly_problem]) == 0

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
+from scipy.optimize import linprog
 
 import polydisklab
 from polydisklab import pick_disk
@@ -385,6 +386,85 @@ class TestSchurConstruct:
         assert got.scale == pytest.approx(1.0, abs=1e-7)
         assert max(abs(got(z) - w) for z, w in zip(nodes, targets)) < 1e-8
 
+    # Draws of the disk-pick benchmark generator with the degree allowed
+    # up to n - 1, as (nodes, targets, zeros, constant, level).  The
+    # Schur recursion left the recovered constant off the unit circle
+    # by more than 1e-6 on these and refused them.
+    DEGREE_N_MINUS_ONE_DRAWS = [
+        ((0.7408333376517812 + 0.434266913975828j, -0.8005453468502521 - 0.09190139813570737j,
+          -0.12207262442259888 - 0.5225552968127687j, 0.34401100309898597 - 0.5454087858987724j,
+          0.6412492944303894 - 0.02774826701556783j, 0.5642030411386626 + 0.2715840668149153j),
+         (0.5265112424301348 + 0.1928586295072544j, 0.1700674877478165 - 0.3334045449042819j,
+          -0.32471672412720093 + 0.12213687651303354j, -0.44288434009788746 - 0.3381030294609001j,
+          0.16690636008637125 - 0.4318999702363738j, 0.24553443547307716 - 0.10081083532691927j),
+         (-0.4158031194987646 - 0.08267640514103583j, -0.39464738166362934 + 0.5826411106954276j,
+          -0.32899776104191064 + 0.5560503278253887j, -0.5439630629811554 + 0.552747649776243j,
+          0.38984129298732084 + 0.5321865890669587j),
+         -0.8584540456565012 + 0.5128904868448876j, 1.0),
+        ((-0.10675914121229572 + 0.6362491272719759j, -0.43025445887662833 + 0.7713824123981381j,
+          -0.505466509414191 + 0.002219939398270461j, 0.1288063822385119 - 0.45785589362963036j,
+          -0.8500894094157584 - 0.048345231921476196j, 0.7790620557909455 - 0.12187652529832421j,
+          -0.47272515462135173 + 0.5134968958950555j, -0.32634145701739525 - 0.7997444624947214j),
+         (0.07126947499921577 - 0.00417722705870937j, 0.20287643822496498 + 0.23761653547868694j,
+          -0.005070565951356573 - 0.039060154117902604j, -0.0036671112318155032 - 0.009549977146267923j,
+          0.025380344226561855 - 0.280400794880667j, -0.008228990658863969 + 0.0023928570995619025j,
+          -0.023867864026978602 + 0.14402441188461293j, -0.22436360577160136 + 0.1856245922751671j),
+         (0.46446189410218974 + 0.24792838305138337j, 0.18022448022896795 - 0.3655262324097246j,
+          0.7103427381563291 + 0.003642644554482265j, 0.687307681131223 - 0.17064779372604738j,
+          0.18279297315987483 + 0.7505020822798704j, 0.5772102069295112 + 0.13660322565491004j,
+          -0.3074167778245453 + 0.003530669922327359j),
+         0.8218592707497737 + 0.5696905643265036j, 0.5),
+        ((-0.5626714171523456 + 0.6286299954519777j, 0.7344653792128404 + 0.24678401272759837j,
+          0.010995338842294436 + 0.7366061276554994j, -0.0031698513388616367 - 0.8987018410962233j,
+          0.5669267675775137 + 0.5658846658853984j, 0.6966123004739355 + 0.534393712266426j,
+          -0.32040371064546397 - 0.6345993822538031j, 0.06734659562061504 + 0.86782973598865j),
+         (-0.2612845387628699 + 0.26999996636430895j, -0.12422798288476622 + 0.21602726931967528j,
+          0.29811281839263126 - 0.046177100866919014j, 0.06146766079156361 + 0.2979276601921983j,
+          -0.2830332331110716 - 0.21427409350992385j, -0.46299175973360657 - 0.0817972871548173j,
+          -0.024524487283229788 - 0.00894913857921326j, 0.4687419305335914 - 0.15984733300923698j),
+         (-0.1775063362312148 - 0.4375784167065165j, 0.3393418468806867 - 0.17159229481446045j,
+          0.36901287291292095 - 0.2723475838491911j, -0.6971386404985813 - 0.3327427748009014j,
+          -0.6561527753077675 - 0.0013496734450701793j, -0.3002999525246508 - 0.2113924267431313j,
+          -0.10933563834693162 - 0.3307900410478569j),
+         -0.9744434638277254 - 0.22463289118787677j, 0.75),
+    ]
+
+    @pytest.mark.parametrize("nodes,targets,zeros,const,level",
+                             DEGREE_N_MINUS_ONE_DRAWS)
+    def test_degree_n_minus_one_round_trip(self, nodes, targets, zeros, const,
+                                           level):
+        ref = BlaschkeProduct(zeros=zeros, unimodular_constant=const,
+                              scale=level)
+        got = schur_construct(DiskPickData(nodes=nodes, targets=targets))
+        assert got.degree == len(zeros)
+        fresh = random_disk(np.random.default_rng(3), 100, rmax=0.9)
+        assert np.max(np.abs(got(fresh) - ref(fresh))) < 1e-7
+
+    def test_degree_up_to_n_minus_one_sweep(self):
+        # Nodes as the disk-pick benchmark draws them: modulus <= 0.9,
+        # pseudo-hyperbolic separation >= 0.3, Szegő Gram condition
+        # <= 1e3; zeros of modulus <= 0.8 and any degree below n.
+        rng = np.random.default_rng(2024)
+        levels = (1.0, 0.5, 0.75, 1.25, 1.5)
+        for k in range(600):
+            n = 2 + k % 7
+            while True:
+                nodes = random_disk(rng, n)
+                sep = min(pseudo_hyperbolic(nodes[i], nodes[j])
+                          for i in range(n) for j in range(i))
+                if sep >= 0.3 and gram_condition(
+                        DiskPickData(nodes=tuple(nodes), targets=(0.0,) * n)) <= 1e3:
+                    break
+            deg = 1 + (k // 7) % (n - 1)
+            ref = BlaschkeProduct(zeros=tuple(random_disk(rng, deg, rmax=0.8)),
+                                  unimodular_constant=np.exp(2j * np.pi * rng.random()),
+                                  scale=levels[k % len(levels)])
+            got = schur_construct(DiskPickData(nodes=tuple(nodes),
+                                               targets=tuple(ref(nodes))))
+            assert got.degree == deg
+            fresh = random_disk(rng, 50)
+            assert np.max(np.abs(got(fresh) - ref(fresh))) < 1e-7
+
     def test_rejects_derivative_data(self):
         data = DiskPickData(nodes=(0.0, 0.5), targets=(0.0, 0.25),
                             derivative_constraints=((1, 1.0),))
@@ -440,6 +520,28 @@ class TestIsExtremal:
                             derivative_constraints=tuple(enumerate(derivs)))
         assert within_documented_accuracy(minimal_norm(data), 0.5, data)
         assert not is_extremal(data)
+
+
+def l1_minimum_lp(V, u, phases=32):
+    """Lower bound on min ||c||_1 subject to V c = u by a linear program.
+
+    Replaces |c_r| by its largest real part over a grid of phases, which
+    is below |c_r| by at most a factor cos(pi / phases).
+    """
+    K, d = V.shape
+    cost = np.concatenate([np.zeros(2 * d), np.ones(d)])  # x_r, y_r, t_r
+    phis = 2.0 * np.pi * np.arange(phases) / phases
+    eye = np.eye(d)
+    A_ub = np.vstack([np.hstack([np.cos(phi) * eye, np.sin(phi) * eye, -eye])
+                      for phi in phis])
+    A_eq = np.block([[V.real, -V.imag, np.zeros((K, d))],
+                     [V.imag, V.real, np.zeros((K, d))]])
+    b_eq = np.concatenate([u.real, u.imag])
+    bounds = [(None, None)] * (2 * d) + [(0, None)] * d
+    res = linprog(cost, A_ub=A_ub, b_ub=np.zeros(phases * d), A_eq=A_eq,
+                  b_eq=b_eq, bounds=bounds)
+    assert res.success, res.message
+    return float(res.fun)
 
 
 class TestInfinitesimalExtremal:
@@ -502,6 +604,20 @@ class TestInfinitesimalExtremal:
                 CPDataOrigin(vectors=vecs, targets=tuple(om * u for u in targs))
             )
             assert abs(m1 - m0) < 1e-10
+
+    def test_never_below_lp_lower_bound(self):
+        # the phase-grid LP relaxes |c_r| from below, so no feasible c has
+        # a smaller l1 norm than its optimum
+        rng = np.random.default_rng(5)
+        for _ in range(40):
+            K = int(rng.integers(2, 4))
+            d = int(rng.integers(K + 1, 7))
+            V = rng.standard_normal((K, d)) + 1j * rng.standard_normal((K, d))
+            u = rng.standard_normal(K) + 1j * rng.standard_normal(K)
+            m, _, wit = infinitesimal_extremal_origin(
+                CPDataOrigin(vectors=tuple(map(tuple, V)), targets=tuple(u)))
+            assert np.max(np.abs(V @ np.array(wit) - u)) < 1e-9
+            assert m >= l1_minimum_lp(V, u) * (1.0 - 1e-9)
 
     def test_infeasible_system(self):
         cp = CPDataOrigin(vectors=((1.0, 0.0), (1.0, 0.0)),
