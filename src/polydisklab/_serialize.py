@@ -58,9 +58,9 @@ def to_jsonable(obj):
     raise DomainError(f"cannot serialize value of type {type(obj).__name__}")
 
 
-def _dump(obj, indent, level):
-    pad = " " * (indent * level)
-    pad_in = " " * (indent * (level + 1))
+def _dump(obj, level):
+    pad = "  " * level
+    pad_in = "  " * (level + 1)
     if obj is None:
         return "null"
     if isinstance(obj, bool):
@@ -77,20 +77,21 @@ def _dump(obj, indent, level):
         items = []
         for k in sorted(obj):
             items.append(
-                f"{pad_in}{json.dumps(str(k))}: {_dump(obj[k], indent, level + 1)}"
+                f"{pad_in}{json.dumps(str(k))}: {_dump(obj[k], level + 1)}"
             )
         return "{\n" + ",\n".join(items) + "\n" + pad + "}"
     if isinstance(obj, list):
         if not obj:
             return "[]"
-        items = [f"{pad_in}{_dump(v, indent, level + 1)}" for v in obj]
+        items = [f"{pad_in}{_dump(v, level + 1)}" for v in obj]
         return "[\n" + ",\n".join(items) + "\n" + pad + "]"
     raise DomainError(f"cannot serialize value of type {type(obj).__name__}")
 
 
-def dumps_canonical(obj, indent=2):
-    """Serialize a normalized structure to canonical JSON text."""
-    return _dump(to_jsonable(obj), indent, 0) + "\n"
+def dumps_canonical(obj):
+    """Serialize a normalized structure to canonical JSON text, indented
+    by two spaces a level."""
+    return _dump(to_jsonable(obj), 0) + "\n"
 
 
 def write_json(path, obj):
@@ -118,20 +119,14 @@ def complex_csv_header(names):
     return cols
 
 
-def write_points_csv(path, points, names=None, extra=None):
-    """Write complex point rows with split re/im columns.
-
-    `extra` is an optional list of (column_name, values) with real or
-    integer entries appended after the complex columns.
-    """
+def write_points_csv(path, points, names=None):
+    """Write complex point rows with split re/im columns."""
     pts = np.asarray(points, dtype=complex)
     if pts.ndim == 1:
         pts = pts[:, None]
     if names is None:
         names = [f"z{k + 1}" for k in range(pts.shape[1])]
     header = complex_csv_header(names)
-    extra = list(extra or [])
-    header.extend(name for name, _ in extra)
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
@@ -140,7 +135,4 @@ def write_points_csv(path, points, names=None, extra=None):
             for k in range(pts.shape[1]):
                 row.append(format_float(pts[i, k].real))
                 row.append(format_float(pts[i, k].imag))
-            for _, values in extra:
-                v = values[i]
-                row.append(str(int(v)) if isinstance(v, (bool, np.bool_, int, np.integer)) else format_float(v))
             writer.writerow(row)

@@ -150,58 +150,39 @@ def _make_problem(nodes, targets, t):
     return M0, b0
 
 
-def _szego_product_kernel(M0):
-    # entrywise product of the coordinate Szego kernels; PD on distinct
-    # nodes, and M^r o G stays PSD for every r
-    return np.prod(1.0 / M0, axis=0)
-
-
 def _polish_dual(M0, b0, N):
-    """Repair a dual-multiplier candidate into a verified certificate.
+    """Read a verified infeasibility kernel off a barrier-path dual point.
 
-    Measures the cone and positivity deficits of the Hermitized
-    candidate and clears them with the smallest diagonal and
-    Szego-kernel additions that work, then re-verifies everything from
-    scratch.  Returns (K, violation) or None when the candidate cannot
-    be repaired without losing the violation.
+    The path's dual Y has conj(M^r) o Y PSD for every r, so conj(Y) is a
+    PSD kernel whose cone matrices M^r o conj(Y) are PSD up to rounding.
+    The Hermitized conj(N) is scaled to unit diagonal; a negative cone
+    deficit is cleared by the smallest diagonal shift that covers it, and
+    the result is rescaled and re-verified from scratch: positive
+    definite, every M^r o K PSD to -1e-12, and a violation at or below
+    VIOLATION_TOL.  Returns (K, violation), or None when a check fails.
     """
     d, n, _ = M0.shape
-    G = _szego_product_kernel(M0)
-    Gn = G / np.sqrt(np.outer(np.diag(G).real, np.diag(G).real))
-    lam_g = np.linalg.eigvalsh(Gn).min()
     min_mdiag = min(M0[r, i, i].real for r in range(d) for i in range(n))
-    for sign in (+1.0, -1.0):
-        K0 = sign * 0.5 * (np.conj(N) + N.T)
-        dg = np.real(np.diag(K0))
-        if np.any(dg <= 0):
-            continue
-        Dm = 1.0 / np.sqrt(dg)
-        K0 = K0 * np.outer(Dm, Dm)
-        cone0 = min(
-            np.linalg.eigvalsh(_herm(M0[r] * K0)).min() for r in range(d)
-        )
-        c_eye = max(0.0, (-cone0 + 1e-13) / min_mdiag) if cone0 < 0 else 0.0
-        K1 = K0 + c_eye * np.eye(n)
-        lam1 = np.linalg.eigvalsh(K1).min()
-        c_g = max(0.0, (-lam1 + 1e-10) / lam_g) if lam1 <= 1e-12 else 0.0
-        for boost in (1.0, 4.0, 32.0):
-            K = K0 + boost * c_eye * np.eye(n) + boost * c_g * Gn
-            dgK = np.real(np.diag(K))
-            if np.any(dgK <= 0):
-                continue
-            Ds = 1.0 / np.sqrt(dgK)
-            K = K * np.outer(Ds, Ds)
-            if np.linalg.eigvalsh(K).min() <= 1e-12:
-                continue
-            cone = min(
-                np.linalg.eigvalsh(_herm(M0[r] * K)).min() for r in range(d)
-            )
-            if cone < -1e-12:
-                continue
-            viol = np.linalg.eigvalsh(_herm(b0 * K)).min()
-            if viol <= VIOLATION_TOL:
-                return K, viol
-    return None
+    K0 = 0.5 * (np.conj(N) + N.T)
+    dg = np.real(np.diag(K0))
+    if np.any(dg <= 0):
+        return None
+    Dm = 1.0 / np.sqrt(dg)
+    K0 = K0 * np.outer(Dm, Dm)
+    cone0 = min(np.linalg.eigvalsh(_herm(M0[r] * K0)).min() for r in range(d))
+    c_eye = (-cone0 + 1e-13) / min_mdiag if cone0 < 0 else 0.0
+    K = K0 + c_eye * np.eye(n)
+    Ds = 1.0 / np.sqrt(np.real(np.diag(K)))
+    K = K * np.outer(Ds, Ds)
+    if np.linalg.eigvalsh(K).min() <= 1e-12:
+        return None
+    cone = min(np.linalg.eigvalsh(_herm(M0[r] * K)).min() for r in range(d))
+    if cone < -1e-12:
+        return None
+    viol = np.linalg.eigvalsh(_herm(b0 * K)).min()
+    if viol > VIOLATION_TOL:
+        return None
+    return K, viol
 
 
 def _hbasis(n):
@@ -465,55 +446,24 @@ class SchurAglerNorm(float):
         return obj
 
 
-def _pairwise_lower_bound(nodes, targets):
-    """Largest two-point minimal norm over node pairs.
-
-    For each pair the one-variable two-point problem with the pair's
-    Kobayashi distance gives a closed-form lower bound: the largest root
-    in t^2 of  delta^2 t^4 - (2 delta^2 Re(conj(b) a) + |a - b|^2) t^2
-    + delta^2 |a b|^2.
-    """
-    nodes = np.asarray(nodes, dtype=complex)
-    if nodes.ndim == 1:
-        nodes = nodes[:, None]
-    targets = np.asarray(targets, dtype=complex)
-    lo = float(np.max(np.abs(targets)))
-    n = len(targets)
-    for i in range(n):
-        for j in range(i + 1, n):
-            delta = np.max(
-                np.abs(nodes[i] - nodes[j])
-                / np.abs(1.0 - np.conj(nodes[j]) * nodes[i])
-            )
-            a, b = targets[i], targets[j]
-            if abs(a - b) < 1e-15 or delta < 1e-15:
-                continue
-            d2 = delta * delta
-            Bq = 2.0 * d2 * np.real(np.conj(b) * a) + abs(a - b) ** 2
-            disc = max(Bq * Bq - 4.0 * d2 * d2 * abs(a * b) ** 2, 0.0)
-            lo = max(lo, float(np.sqrt((Bq + np.sqrt(disc)) / (2.0 * d2))))
-    return lo
-
-
 def schur_agler_norm(data):
     """Smallest level t at which the data is decomposition-feasible.
 
     Follows the barrier path maximizing s = 1/t^2 and returns 1/sqrt(s)
     at a strictly feasible iterate, which is an upper bound on the
     minimal level.  It stops once that value is within a relative
-    NORM_RTOL of the best lower bound: the larger of the path's
-    duality-gap bound 1/sqrt(s + gap) and the closed-form pairwise
-    bound.  A bracket that cannot close raises UndecidedError carrying
-    it.  For d <= 2 this is the minimal extension norm; for d >= 3 it is
-    an upper bound, and the result carries the caveat flag saying so.
+    NORM_RTOL of the best lower bound so far, the path's duality-gap
+    bound 1/sqrt(s + gap).  A bracket that cannot close raises
+    UndecidedError carrying it.  For d <= 2 this is the minimal
+    extension norm; for d >= 3 it is an upper bound, and the result
+    carries the caveat flag saying so.
     """
     if data.n > MAX_NODES:
         raise DomainError(f"at most {MAX_NODES} nodes supported, got {data.n}")
     caveat = CAVEAT_D3 if data.d >= 3 else None
     if max(abs(w) for w in data.targets) == 0.0:
         return SchurAglerNorm(0.0, caveat_flag=caveat)
-    lo = _pairwise_lower_bound(data.nodes, data.targets)
-    hi = np.inf
+    lo, hi = 0.0, np.inf
     M, B, start = _path_problem(data)
     try:
         for s, gap, _, _ in _central_path(M, B, start, 0.0):
@@ -527,10 +477,10 @@ def schur_agler_norm(data):
         raise
 
 
-def _random_blaschke_factor(rng, max_degree=2):
+def _random_blaschke_factor(rng):
     from .disk_geometry import BlaschkeProduct
 
-    deg = int(rng.integers(0, max_degree + 1))
+    deg = int(rng.integers(0, 3))
     zeros = tuple(
         rng.uniform(0.0, 0.9) * np.exp(2j * np.pi * rng.uniform())
         for _ in range(deg)
@@ -555,14 +505,14 @@ def _random_colligation(rng, d, max_block):
     return Q[0, 0], Q[0, 1:], Q[1:, 0], Q[1:, 1:], reps
 
 
-def _random_transfer_function(rng, d, max_block=3):
+def _random_transfer_function(rng, d):
     """Transfer-function realization from a random unitary colligation.
 
     phi(z) = A + B Delta(z) (I - D Delta(z))^{-1} C with Delta(z) the
     block-diagonal coordinate matrix; always in the Schur-Agler unit
     ball.
     """
-    A, Bv, Cv, Dm, reps = _random_colligation(rng, d, max_block)
+    A, Bv, Cv, Dm, reps = _random_colligation(rng, d, 3)
     q = len(reps)
 
     def phi(point):

@@ -29,28 +29,28 @@ ARC_ETA = 1e-3
 EXTENSION_TOL = 1e-4
 
 
-def _omitted_arc(samples, eta=ARC_ETA, grid=ARC_GRID):
+def _omitted_arc(samples):
     """Largest arc of the unit circle not approached by the samples.
 
-    A sample F with |F| >= 1 - eta covers the boundary angles within
-    arccos((1 - eta) / |F|) of arg F.  Returns (gap_radians, midpoint
+    A sample F with |F| >= 1 - ARC_ETA covers the boundary angles within
+    arccos((1 - ARC_ETA) / |F|) of arg F.  Returns (gap_radians, midpoint
     on the circle or None, covered_fraction).
     """
     samples = np.asarray(samples, dtype=complex).ravel()
-    covered = np.zeros(grid, dtype=bool)
+    covered = np.zeros(ARC_GRID, dtype=bool)
     mags = np.abs(samples)
-    sel = mags >= 1.0 - eta
+    sel = mags >= 1.0 - ARC_ETA
     if np.any(sel):
         F = samples[sel]
         m = np.abs(F)
-        width = np.arccos(np.clip((1.0 - eta) / m, -1.0, 1.0))
+        width = np.arccos(np.clip((1.0 - ARC_ETA) / m, -1.0, 1.0))
         center = np.angle(F)
-        scale = grid / (2.0 * np.pi)
+        scale = ARC_GRID / (2.0 * np.pi)
         lo = np.floor((center - width) * scale).astype(int)
         hi = np.ceil((center + width) * scale).astype(int)
         # dedupe identical index ranges before the marking loop
         for a, b in set(zip(lo.tolist(), hi.tolist())):
-            idx = np.arange(a, b + 1) % grid
+            idx = np.arange(a, b + 1) % ARC_GRID
             covered[idx] = True
     frac = float(covered.mean())
     if covered.all():
@@ -61,19 +61,19 @@ def _omitted_arc(samples, eta=ARC_ETA, grid=ARC_GRID):
     runs = []
     ext = np.concatenate([covered, covered])
     start = None
-    for i in range(2 * grid):
+    for i in range(2 * ARC_GRID):
         if not ext[i] and start is None:
             start = i
         elif ext[i] and start is not None:
             runs.append((start, i))
             start = None
     if start is not None:
-        runs.append((start, 2 * grid))
+        runs.append((start, 2 * ARC_GRID))
     best = max(runs, key=lambda ab: ab[1] - ab[0])
-    length = min(best[1] - best[0], grid)
-    mid = (best[0] + best[1]) / 2.0 % grid
-    theta = mid * 2.0 * np.pi / grid
-    return length * 2.0 * np.pi / grid, complex(np.exp(1j * theta)), frac
+    length = min(best[1] - best[0], ARC_GRID)
+    mid = (best[0] + best[1]) / 2.0 % ARC_GRID
+    theta = mid * 2.0 * np.pi / ARC_GRID
+    return length * 2.0 * np.pi / ARC_GRID, complex(np.exp(1j * theta)), frac
 
 
 @dataclasses.dataclass(frozen=True)
@@ -279,7 +279,7 @@ class CircleImageResult(typing.NamedTuple):
     statement: str
 
 
-def _closure_sample(generators, n_primary=512, n_secondary=64, seed=0):
+def _closure_sample(generators, seed=0):
     """Variety points with base coordinates on torus-adjacent shells.
 
     The dependent coordinate is the highest one the generators involve;
@@ -297,8 +297,8 @@ def _closure_sample(generators, n_primary=512, n_secondary=64, seed=0):
         raise DomainError("generators are constant")
     base_idx = [j for j in range(3) if j != k]
     pts = []
-    ang1 = 2.0 * np.pi * np.arange(n_primary) / n_primary
-    ang2 = 2.0 * np.pi * (np.arange(n_secondary) + 0.37) / n_secondary
+    ang1 = 2.0 * np.pi * np.arange(512) / 512
+    ang2 = 2.0 * np.pi * (np.arange(64) + 0.37) / 64
     for ke in SHELL_EXPONENTS:
         r = 1.0 - 10.0 ** (-ke)
         a = r * np.exp(1j * ang1)

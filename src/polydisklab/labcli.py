@@ -60,7 +60,7 @@ EXIT_DEGENERATE = 3
 EXIT_EXHAUSTED = 4
 
 PROBLEM_VERSION = 1
-PROBLEM_KINDS = ("disk_pick", "poly_pick", "variety", "tuple", "experiment")
+PROBLEM_KINDS = ("disk_pick", "poly_pick", "variety")
 SCAN_PAIR_LIMIT = 25
 
 
@@ -144,11 +144,14 @@ def _decode_generators(payload):
 
 
 def resolve_variety(source, args):
-    """A generator tuple from 'builtin:<name>' or a problem file path."""
+    """A generator tuple and the seed to run with, from 'builtin:<name>'
+    or a problem file path.  --seed overrides the file's seed; a builtin
+    without --seed runs with seed 0."""
+    seed = args.seed if args.seed is not None else 0
     if source.startswith("builtin:"):
         name = source[len("builtin:"):]
         if name == "v0":
-            return builtin_v0()
+            return builtin_v0(), seed
         if name == "rational_inner":
             a = getattr(args, "A", None)
             b = getattr(args, "B", None)
@@ -157,12 +160,14 @@ def resolve_variety(source, args):
                 a if a is not None else 0.5,
                 b if b is not None else 0.5,
                 omega if omega is not None else 1.0,
-            )
+            ), seed
         raise _UsageError(f"unknown builtin variety {name!r}")
     prob = load_problem(source)
     if prob["kind"] != "variety":
         raise _UsageError(f"expected a variety problem file, got {prob['kind']!r}")
-    return _decode_generators(prob["payload"])
+    if args.seed is None:
+        seed = prob["seed"]
+    return _decode_generators(prob["payload"]), seed
 
 
 def _encode_poly_data(data):
@@ -259,8 +264,7 @@ def cmd_pick_solve(args):
 
 
 def cmd_variety(args):
-    gens = resolve_variety(args.input, args)
-    seed = args.seed if args.seed is not None else 0
+    gens, seed = resolve_variety(args.input, args)
     sub = args.variety_cmd
     if sub == "sample":
         count = args.resolution or 200
@@ -481,11 +485,11 @@ def cmd_experiment(args):
         return EXIT_OK
     if name == "circle-image":
         source = args.input or "builtin:v0"
-        gens = resolve_variety(source, args)
+        gens, seed = resolve_variety(source, args)
         m = parse_complex(args.m) if args.m is not None else 0.9
         base = exg1_reproduce(m, search_resolution=args.resolution or 2000)
         phi = exg1_extremal_candidate(base.m)
-        res = circle_image_test(gens, phi, base.data, seed=args.seed or 0)
+        res = circle_image_test(gens, phi, base.data, seed=seed)
         result = {
             "experiment": "circle-image",
             "variety": source,
@@ -533,6 +537,11 @@ def cmd_experiment(args):
 
 
 class _Parser(argparse.ArgumentParser):
+    # no prefix matching: a flag a command lacks must be an error, not an
+    # abbreviation of another flag (--out for experiment's --out-dir)
+    def __init__(self, **kwargs):
+        super().__init__(allow_abbrev=False, **kwargs)
+
     def error(self, message):
         raise _UsageError(message)
 
@@ -541,16 +550,18 @@ def build_parser():
     parser = _Parser(prog="labcli", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    def outputs(p):
         p.add_argument("--out", help="write the JSON or CSV result to this path")
         p.add_argument("--json", action="store_true", help="machine JSON on stdout")
-        p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--tol", type=float, default=None)
+
+    def seeded(p):
+        p.add_argument("--seed", type=int, default=None,
+                       help="overrides the problem file's seed")
         p.add_argument("--resolution", type=int, default=None)
 
     p_pick = sub.add_parser("pick-solve", help="solve a disk or polydisk problem")
     p_pick.add_argument("input", help="problem file (kind disk_pick or poly_pick)")
-    common(p_pick)
+    outputs(p_pick)
     p_pick.set_defaults(func=cmd_pick_solve)
 
     p_var = sub.add_parser("variety", help="variety sampling and structure")
@@ -558,7 +569,9 @@ def build_parser():
         "variety_cmd", choices=["sample", "graph", "retract", "scan-balanced"]
     )
     p_var.add_argument("input", help="variety problem file or builtin:<name>")
-    common(p_var)
+    outputs(p_var)
+    seeded(p_var)
+    p_var.add_argument("--tol", type=float, default=None)
     p_var.add_argument("--pair", type=parse_pair, default=None)
     p_var.add_argument("--margin", type=float, default=None)
     p_var.add_argument("--A", type=parse_complex, default=None)
@@ -572,7 +585,8 @@ def build_parser():
         choices=["exg1", "ext-vs-vn", "circle-image", "uniqueness-fit"],
     )
     p_exp.add_argument("input", nargs="?", default=None)
-    common(p_exp)
+    p_exp.add_argument("--json", action="store_true", help="machine JSON on stdout")
+    seeded(p_exp)
     p_exp.add_argument("--out-dir", default=None)
     p_exp.add_argument("--m", default=None)
     p_exp.add_argument("--scale", type=float, default=None)

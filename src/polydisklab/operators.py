@@ -183,13 +183,13 @@ def defect_identity_residual(tup, p, c):
     return abs(lhs - rhs)
 
 
-def _transfer_taylor(rng, d, degree, max_block=2):
+def _transfer_taylor(rng, d, degree):
     """Polynomial Taylor truncation of a random transfer function.
 
     Expands phi(z) = A + B Delta (I - D Delta)^{-1} C as a sum over
     coordinate words and keeps total degree <= degree.
     """
-    A, Bv, Cv, Dm, reps = _random_colligation(rng, d, max_block)
+    A, Bv, Cv, Dm, reps = _random_colligation(rng, d, 2)
     masks = [reps == r for r in range(d)]
 
     coeffs = {(0,) * d: A}
@@ -239,7 +239,7 @@ class VNReport:
     grid: int
 
 
-def von_neumann_check(tup, samples=VN_SAMPLES, max_degree=VN_MAX_DEGREE, seed=0):
+def von_neumann_check(tup, samples=VN_SAMPLES, seed=0):
     """Largest ||p(T)|| / sup_torus |p| over random polynomials.
 
     Samples mix dense Gaussian polynomials with Taylor truncations of
@@ -252,7 +252,7 @@ def von_neumann_check(tup, samples=VN_SAMPLES, max_degree=VN_MAX_DEGREE, seed=0)
     worst_p = None
     grid_used = effective_torus_grid(tup.d)
     for _s in range(samples):
-        p = _sample_test_polynomial(rng, tup.d, max_degree)
+        p = _sample_test_polynomial(rng, tup.d, VN_MAX_DEGREE)
         sup = sup_on_torus(p)
         if sup <= 0.0:
             continue

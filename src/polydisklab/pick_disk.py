@@ -123,12 +123,12 @@ def pick_matrix(data):
     return A0 - A1
 
 
-def solvable(data, t, psd_tol=PSD_TOL):
+def solvable(data, t):
     """True iff the data scaled by 1/t admits a Schur-class interpolant."""
     if not t > 0:
         raise DomainError("norm level t must be positive")
     A0, A1 = _pencil(data)
-    return float(np.linalg.eigvalsh(A0 - A1 / t**2).min()) >= psd_tol
+    return float(np.linalg.eigvalsh(A0 - A1 / t**2).min()) >= PSD_TOL
 
 
 def _pencil_eigh(A0, A1, eigvals_only):

@@ -259,15 +259,15 @@ def _coefficient_tensor(p):
     return C
 
 
-def effective_torus_grid(d, grid=TORUS_GRID):
+def effective_torus_grid(d):
     """Per-axis grid size after capping the total point count."""
-    grid = int(grid)
+    grid = TORUS_GRID
     while grid ** d > TORUS_GRID_CAP and grid > 16:
         grid //= 2
     return grid
 
 
-def torus_grid_values(p, grid=TORUS_GRID):
+def torus_grid_values(p):
     """|p| on the grid of grid-th roots of unity in each coordinate.
 
     Applies an inverse FFT per axis to the coefficient tensor zero-padded
@@ -276,7 +276,7 @@ def torus_grid_values(p, grid=TORUS_GRID):
     padded only as it is transformed, so the all-zero rows of the padded
     tensor are never transformed; the result is ifftn's, bit for bit.
     """
-    grid = effective_torus_grid(p.d, grid)
+    grid = effective_torus_grid(p.d)
     C = _coefficient_tensor(p)
     if any(s > grid for s in C.shape):
         raise DomainError("grid too coarse for the polynomial degree")
@@ -314,7 +314,7 @@ def _local_grid_values(C, at_centre, at_offset):
     return T
 
 
-def sup_on_torus(p, grid=TORUS_GRID, stages=REFINE_STAGES):
+def sup_on_torus(p):
     """Supremum of |p| over the unit torus.
 
     An FFT grid scan picks the REFINE_CANDIDATES best grid points.  Each
@@ -327,8 +327,8 @@ def sup_on_torus(p, grid=TORUS_GRID, stages=REFINE_STAGES):
     lies on its edge keeps its size, since the maximum may lie beyond:
     on a thin slanted ridge the best sample can sit several spacings
     from the crest's maximum along the ridge.  Refinement ends once every
-    window has shrunk `stages` times (by default the last local spacing
-    is then below 1e-8 rad), or after 2 * stages rounds.
+    window has shrunk REFINE_STAGES times (the last local spacing is
+    then below 1e-8 rad), or after 2 * REFINE_STAGES rounds.
 
     Measured against certified brackets from a branch and bound on
     |p|^2 (tests/test_polynomials.py), no result fell short of the
@@ -340,7 +340,7 @@ def sup_on_torus(p, grid=TORUS_GRID, stages=REFINE_STAGES):
     """
     if not p.coeffs:
         return 0.0
-    absvals, grid = torus_grid_values(p, grid)
+    absvals, grid = torus_grid_values(p)
     flat = absvals.ravel()
     take = min(REFINE_CANDIDATES, flat.size)
     idx = np.argpartition(flat, flat.size - take)[-take:]
@@ -352,6 +352,7 @@ def sup_on_torus(p, grid=TORUS_GRID, stages=REFINE_STAGES):
     width = max(C.shape)
     offsets = np.linspace(-1.0, 1.0, REFINE_POINTS)
     strides = REFINE_POINTS ** np.arange(p.d - 1, -1, -1)
+    stages = REFINE_STAGES
     half_widths = (2.0 * np.pi / grid) / REFINE_SHRINK ** np.arange(stages + 1)
     offset_phases = _phases(np.multiply.outer(half_widths, offsets), width)
     shrinks = np.zeros(take, dtype=int)

@@ -30,6 +30,31 @@ from polydisklab.errors import (
 
 CANONICAL = PolyPickData(d=2, nodes=((0.0, 0.0), (0.5, 0.5)), targets=(0.0, 0.7))
 
+NODES_SHIFT = (
+    ((0.2396008594414019-0.628812828082982j), (-0.654456248852449+0.2275257996369609j),
+     (-0.5113595530148575+0.04321345376465045j)),
+    ((-0.12009168013213062+0.5248319887823597j), (-0.09084373149764716-0.49919442582251145j),
+     (-0.06399145516560574-0.3334949273007959j)),
+    ((-0.1294613345259789+0.11651516189936105j), (-0.13414339030648165-0.1448799252332865j),
+     (0.07133978032811852-0.048661941040487586j)),
+    ((0.46007459443586657+0.13452711846844145j), (-0.5513897038000191-0.2745496469091622j),
+     (0.04806434886779523+0.001209296612224145j)),
+    ((0.16560639280859754-0.0008572893073697139j), (-0.38922879691052775-0.12766921557926778j),
+     (-0.03904187588013526-0.025985377387792302j)),
+    ((0.05886372644587686+0.6029035469933379j), (-0.23700416591447837-0.562148186013465j),
+     (-0.2637923320463766-0.2558688204559511j)),
+    ((0.4881374096306398-0.07987407242485757j), (-0.6096167000233716-0.1549166889661677j),
+     (0.021144277995772634-0.15082338032445683j)),
+    ((0.39656877354682946-0.5896412997820134j), (-0.7168934455384375+0.14425498060571307j),
+     (-0.5112127758572775-0.1675158304094776j)),
+)
+TARGETS_SHIFT = (
+    (-0.25494744910346917+0.11401149825816047j), (-0.48437728079900394+0.12178260729656784j),
+    (-0.16389651881295042-0.018126696973809257j), (0.1105948098540343+0.2688594141963596j),
+    (-0.033823172291192485+0.09651318407446625j), (-0.46561478302158354+0.3172416886260163j),
+    (0.1700549961582054+0.07845825164256495j), (-0.2775321483358201-0.11577728450028442j),
+)
+
 
 def random_disk(rng, n, rmax=0.9):
     r = rmax * np.sqrt(rng.random(n))
@@ -325,6 +350,26 @@ class TestDualKernelCertificates:
         K = out.kernel.K
         # the extremal kernel for the diagonal two-point problem
         assert abs(K[0, 1] + np.sqrt(3.0) / 2.0) < 1e-3
+
+    def test_cone_deficit_cleared_by_diagonal_shift(self):
+        # d=3 retract data of exact norm 1 (the benchmark's retract_problem
+        # with default_rng(5), 3, 8, 1.0): the converged path dual misses
+        # the cone by about 5e-12, and only the diagonal shift turns it
+        # into a certificate; without the shift this level is undecided
+        data = PolyPickData(d=3, nodes=NODES_SHIFT, targets=TARGETS_SHIFT)
+        out = agler_feasible(data, 0.99, optimal_certificate=True)
+        assert isinstance(out, Infeasible)
+        K = out.kernel.K
+        DualKernel(K=K, violation=out.kernel.violation)
+        lam = np.array(data.nodes)
+        for r in range(3):
+            cone = (1.0 - np.outer(lam[:, r], np.conj(lam[:, r]))) * K
+            cone = 0.5 * (cone + np.conj(cone.T))
+            assert float(np.linalg.eigvalsh(cone).min()) >= -1e-12
+        w = np.array(data.targets) / 0.99
+        tested = (1.0 - np.outer(w, np.conj(w))) * K
+        tested = 0.5 * (tested + np.conj(tested.T))
+        assert float(np.linalg.eigvalsh(tested).min()) <= -1e-8
 
     def test_membership_evidence_for_certificate(self):
         out = agler_feasible(CANONICAL, t=1.0, optimal_certificate=True)

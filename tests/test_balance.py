@@ -125,11 +125,17 @@ class TestFindBalancedPairOnGraph:
             find_balanced_pair_on_graph([0.0, 0.5, 0.5], w1=0.0, r=0.5)
 
     def test_succeeds_even_at_coarse_resolution(self):
-        # Local refinement should rescue a deliberately coarse scan.
-        z, gz = find_balanced_pair_on_graph(
-            [0.0, 0.4, 0.0, 0.3], w1=0.35, r=0.7, resolution=(8, 4)
-        )
-        assert pseudo_hyperbolic(gz, 0.35) <= abs(z) + 1e-9
+        # Local refinement should rescue a deliberately coarse scan: the
+        # (1, 2) grid holds only z = 0 and z = 0.5, and h(z) =
+        # rho(g(z), w1) - |z| is positive on both, so no grid point is a
+        # witness; the refinement finds one at z = -0.5.
+        g, w1 = [0.0, 0.5], -0.3
+        h = [pseudo_hyperbolic(0.5 * z, w1) - abs(z) for z in (0.0, 0.5)]
+        assert h[0] == pytest.approx(0.3)
+        assert h[1] == pytest.approx(0.0116, abs=1e-4)
+        z, gz = find_balanced_pair_on_graph(g, w1=w1, r=0.5, resolution=(1, 2))
+        assert z == pytest.approx(-0.5, abs=1e-12)
+        assert pseudo_hyperbolic(gz, w1) <= abs(z)
 
     def test_exhaustion_error_carries_diagnostics(self):
         err = ResolutionExhaustedError(

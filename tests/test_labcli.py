@@ -10,6 +10,7 @@ import pytest
 from polydisklab import agler, labcli
 from polydisklab._serialize import dumps_canonical
 from polydisklab.errors import ConditioningError, UndecidedError
+from polydisklab.experiments import circle_image_test
 from polydisklab.labcli import _UsageError, main, parse_complex, parse_pair
 
 
@@ -19,6 +20,10 @@ def write_problem(path, kind, payload, seed=0):
                     "seed": seed})
     )
     return str(path)
+
+
+V0_GENERATOR = {"d": 3, "terms": [[0, 0, 1, 1.0, 0.0], [1, 0, 0, -1.0, 0.0],
+                                  [0, 1, 0, -1.0, 0.0]]}
 
 
 @pytest.fixture()
@@ -157,9 +162,10 @@ class TestPickSolve:
         assert main(["pick-solve", str(tmp_path / "nope.json")]) == 1
 
     def test_wrong_kind(self, tmp_path):
-        path = write_problem(tmp_path / "v.json", "variety",
-                             {"generators": []})
-        assert main(["pick-solve", path]) == 1
+        for kind in ("variety", "tuple", "experiment"):
+            path = write_problem(tmp_path / f"{kind}.json", kind,
+                                 {"generators": []})
+            assert main(["pick-solve", path]) == 1
 
     def test_bad_version(self, tmp_path):
         path = tmp_path / "v2.json"
@@ -231,6 +237,23 @@ class TestVariety:
         assert len(first["indices"]) == 2
         assert first["n"] >= 1
 
+    def test_file_seed_applies_unless_flag_overrides(self, tmp_path, monkeypatch,
+                                                      capsys):
+        path = write_problem(tmp_path / "v0.json", "variety",
+                             {"generators": [V0_GENERATOR]}, seed=3)
+
+        def run(name, *flags):
+            (tmp_path / name).mkdir()
+            monkeypatch.chdir(tmp_path / name)
+            assert main(["variety", "sample", path, "--out", "pts.csv",
+                         "--json", *flags]) == 0
+            return capsys.readouterr().out, (tmp_path / name / "pts.csv").read_bytes()
+
+        from_file = run("file")
+        assert json.loads(from_file[0])["seed"] == 3
+        assert from_file == run("flag", "--seed", "3")
+        assert from_file[1] != run("override", "--seed", "0")[1]
+
     def test_variety_file_source(self, tmp_path, capsys):
         gen = {"d": 3, "terms": [[0, 0, 1, 1.0, 0.0], [1, 1, 0, -0.5, 0.0]]}
         path = write_problem(tmp_path / "g.json", "variety",
@@ -298,6 +321,37 @@ class TestExperiments:
         assert report["norm"] == pytest.approx(1.4, abs=1e-4)
         assert report["witness"]["f_norm"] > 1.0
 
+    def test_ext_vs_vn_extension_consistent(self, tmp_path, capsys):
+        # halving the exg1 targets puts the norm well below 1, so the
+        # report carries a decomposition at level 1 instead of a witness
+        assert main(["experiment", "ext-vs-vn", "--m", "0.9", "--scale", "0.5",
+                     "--json", "--out-dir", str(tmp_path)]) == 0
+        out = json.loads(capsys.readouterr().out)
+        assert out["verdict"] == "extension_consistent"
+        assert out["norm"] == pytest.approx(0.5, abs=1e-6)
+        assert out["caveat_flag"] == "schur-agler-upper-bound"
+        assert "witness" not in out
+        dec = out["decomposition"]
+        assert dec["t"] == 1.0
+        assert dec["min_eigenvalue"] >= agler.GAMMA_PSD_TOL
+        assert dec["reconstruction_residual"] <= agler.RECON_TOL
+
+    def test_circle_image_reads_file_seed(self, tmp_path, monkeypatch, capsys):
+        # the v0 report does not depend on the seed, so check what is passed
+        seeds = []
+
+        def spy(gens, phi, data, seed):
+            seeds.append(seed)
+            return circle_image_test(gens, phi, data, seed=seed)
+
+        monkeypatch.setattr(labcli, "circle_image_test", spy)
+        path = write_problem(tmp_path / "v0.json", "variety",
+                             {"generators": [V0_GENERATOR]}, seed=3)
+        for flags in ([], ["--seed", "5"]):
+            assert main(["experiment", "circle-image", path, "--out-dir",
+                         str(tmp_path / "out"), *flags]) == 0
+        assert seeds == [3, 5]
+
     def test_missing_required_flags(self, tmp_path):
         assert main(["experiment", "exg1",
                      "--out-dir", str(tmp_path)]) == 1
@@ -314,3 +368,16 @@ class TestParserBehavior:
 
     def test_unknown_flag(self, disk_problem):
         assert main(["pick-solve", disk_problem, "--frob"]) == 1
+
+    @pytest.mark.parametrize("argv", [
+        ["pick-solve", "{disk}", "--seed", "1"],
+        ["pick-solve", "{disk}", "--tol", "1e-6"],
+        ["pick-solve", "{disk}", "--resolution", "10"],
+        ["experiment", "exg1", "--m", "0.9", "--out", "{tmp}/r.json"],
+        ["experiment", "exg1", "--m", "0.9", "--tol", "1e-6"],
+    ])
+    def test_flag_a_command_does_not_read_is_input_error(self, argv, disk_problem,
+                                                         tmp_path):
+        argv = [a.format(disk=disk_problem, tmp=tmp_path) for a in argv]
+        assert main(argv) == 1
+        assert not (tmp_path / "r.json").exists()

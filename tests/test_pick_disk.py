@@ -312,6 +312,22 @@ class TestMinimalNormMetamorphic:
 
 
 class TestSchurConstruct:
+    def test_zero_on_circle_is_conditioning_error(self, monkeypatch):
+        # a state matrix with an eigenvalue on the circle puts a zero there
+        monkeypatch.setattr(np.linalg, "eigvals", lambda D: np.ones(len(D)))
+        data = DiskPickData(nodes=(0.0, 0.5), targets=(0.0, 0.25))
+        with pytest.raises(ConditioningError, match="unit circle"):
+            schur_construct(data)
+
+    def test_residual_above_tolerance_is_conditioning_error(self, monkeypatch):
+        def misfit(nodes, values, zeros, c):
+            return zeros + 0.01, c, 1.0
+
+        monkeypatch.setattr(pick_disk, "_polish_blaschke", misfit)
+        data = DiskPickData(nodes=(0.0, 0.5), targets=(0.0, 0.25))
+        with pytest.raises(ConditioningError, match="interpolation residual"):
+            schur_construct(data)
+
     def test_identity_map(self):
         data = DiskPickData(nodes=(0.0, 0.5), targets=(0.0, 0.5))
         b = schur_construct(data)
