@@ -350,12 +350,15 @@ def _start(M):
     """
     d, n, _ = M.shape
     S = 1.0 / M
-    try:
-        for r in range(d):
-            np.linalg.cholesky(S[r])
-        return S / d
-    except np.linalg.LinAlgError:
-        pass
+    # nodes sharing coordinate r give equal rows of M^r; rounding can let
+    # a Cholesky factorization of the singular S^r succeed
+    if all(len(np.unique(M[r], axis=0)) == n for r in range(d)):
+        try:
+            for r in range(d):
+                np.linalg.cholesky(S[r])
+            return S / d
+        except np.linalg.LinAlgError:
+            pass
     shift = np.diag(np.real(np.einsum("rii->i", M)))
     for s, gap, gam, _ in _central_path(M, shift, (S + np.eye(n)) / d, -1.0 / d):
         if s > 0.0:

@@ -37,41 +37,31 @@ def _omitted_arc(samples):
     on the circle or None, covered_fraction).
     """
     samples = np.asarray(samples, dtype=complex).ravel()
-    covered = np.zeros(ARC_GRID, dtype=bool)
-    mags = np.abs(samples)
-    sel = mags >= 1.0 - ARC_ETA
-    if np.any(sel):
-        F = samples[sel]
-        m = np.abs(F)
-        width = np.arccos(np.clip((1.0 - ARC_ETA) / m, -1.0, 1.0))
-        center = np.angle(F)
-        scale = ARC_GRID / (2.0 * np.pi)
-        lo = np.floor((center - width) * scale).astype(int)
-        hi = np.ceil((center + width) * scale).astype(int)
-        # dedupe identical index ranges before the marking loop
-        for a, b in set(zip(lo.tolist(), hi.tolist())):
-            idx = np.arange(a, b + 1) % ARC_GRID
-            covered[idx] = True
+    F = samples[np.abs(samples) >= 1.0 - ARC_ETA]
+    width = np.arccos(np.clip((1.0 - ARC_ETA) / np.abs(F), -1.0, 1.0))
+    center = np.angle(F)
+    scale = ARC_GRID / (2.0 * np.pi)
+    lo = np.floor((center - width) * scale).astype(int)
+    hi = np.ceil((center + width) * scale).astype(int)
+    # |center| <= pi and width < pi / 2, so every index lies within three
+    # quarters of a turn of 0: shifted by one turn, the ranges are marked
+    # on two turns by a difference array, then folded
+    edges = np.bincount(lo + ARC_GRID, minlength=2 * ARC_GRID + 1)
+    edges -= np.bincount(hi + ARC_GRID + 1, minlength=2 * ARC_GRID + 1)
+    covered = np.cumsum(edges)[:-1].reshape(2, ARC_GRID).any(axis=0)
     frac = float(covered.mean())
     if covered.all():
         return 0.0, None, frac
     if not covered.any():
         return 2.0 * np.pi, None, frac
-    # largest circular run of uncovered angles
-    runs = []
-    ext = np.concatenate([covered, covered])
-    start = None
-    for i in range(2 * ARC_GRID):
-        if not ext[i] and start is None:
-            start = i
-        elif ext[i] and start is not None:
-            runs.append((start, i))
-            start = None
-    if start is not None:
-        runs.append((start, 2 * ARC_GRID))
-    best = max(runs, key=lambda ab: ab[1] - ab[0])
-    length = min(best[1] - best[0], ARC_GRID)
-    mid = (best[0] + best[1]) / 2.0 % ARC_GRID
+    # largest circular run of uncovered angles (the first, on ties)
+    ext = np.concatenate([[True], covered, covered, [True]])
+    step = np.diff(ext.astype(np.int8))
+    starts, ends = np.flatnonzero(step == -1), np.flatnonzero(step == 1)
+    best = int(np.argmax(ends - starts))
+    start, end = int(starts[best]), int(ends[best])
+    length = min(end - start, ARC_GRID)
+    mid = (start + end) / 2.0 % ARC_GRID
     theta = mid * 2.0 * np.pi / ARC_GRID
     return length * 2.0 * np.pi / ARC_GRID, complex(np.exp(1j * theta)), frac
 
@@ -185,6 +175,7 @@ def exg1_reproduce(m, search_resolution=DEFAULT_RESOLUTION):
     data = PolyPickData(d=3, nodes=nodes, targets=targets)
     norm = schur_agler_norm(data)
 
+    candidate = exg1_extremal_candidate(m)
     shell_gaps = []
     union_samples = []
     angles = 2.0 * np.pi * np.arange(512) / 512.0
@@ -192,9 +183,8 @@ def exg1_reproduce(m, search_resolution=DEFAULT_RESOLUTION):
         r = 1.0 - 10.0 ** (-k)
         z1 = r * np.exp(1j * angles)
         z2 = r * np.exp(1j * (angles + np.pi / 512.0))
-        Z1, Z2 = np.meshgrid(z1, z2, indexing="ij")
-        keep = np.abs(Z1 + Z2) <= 1.0
-        F = (Z1[keep] * phi(Z1[keep]) + Z2[keep]) / 2.0
+        Z = np.stack(np.meshgrid(z1, z2, indexing="ij", copy=False), axis=-1)
+        F = candidate(Z[np.abs(Z[..., 0] + Z[..., 1]) <= 1.0])
         gap_k, _, _ = _omitted_arc(F)
         shell_gaps.append((k, gap_k))
         union_samples.append(F)

@@ -8,8 +8,8 @@ kernel.  The Pick matrix at level t is A0 - A1 / t^2, so minimal norms
 come from one generalized eigenvalue of the pencil (A1, A0), Blaschke
 interpolants from its eigenvectors (a Gram factor of the singular Pick
 matrix, turned into a unitary colligation by the lurking isometry), and
-the origin test from an iteratively reweighted least-squares l1
-minimizer.
+the origin test from a dual barrier path that brackets the minimal l1
+norm; its verdict uses the bracket's lower end.
 """
 
 from __future__ import annotations
@@ -42,6 +42,10 @@ EXTREMAL_RTOL = 10.0 * NORM_RTOL
 
 # Interpolation residual allowed for constructed Blaschke products.
 INTERP_TOL = 1e-8
+
+# Newton budget and closing relative bracket width of the origin test.
+L1_NEWTON_BUDGET = 200
+L1_BRACKET_RTOL = 1e-12
 
 
 @dataclasses.dataclass(frozen=True)
@@ -338,53 +342,49 @@ class CPDataOrigin:
         return len(self.vectors[0])
 
 
-def _irls_l1(V, u):
-    """Minimize the l1 norm of complex c subject to V c = u.
-
-    Equality-constrained iteratively reweighted least squares with
-    epsilon smoothing swept from 1e-3 down to 1e-12.
-    """
-    K, d = V.shape
-    c, *_ = np.linalg.lstsq(V, u, rcond=None)
-    if np.linalg.norm(V @ c - u) > 1e-9 * max(1.0, np.linalg.norm(u)):
-        raise InfeasibleConstraintsError("constraint system V c = u has no solution")
-    if np.linalg.matrix_rank(V, tol=1e-12) == d:
-        return c
-    for eps in np.geomspace(1e-3, 1e-12, 60):
-        for _ in range(3):
-            wts = 1.0 / np.sqrt(np.abs(c) ** 2 + eps**2)
-            Winv = 1.0 / wts
-            M = (V * Winv[None, :]) @ np.conj(V.T)
-            mu = np.linalg.lstsq(M, u, rcond=None)[0]
-            c = Winv * (np.conj(V.T) @ mu)
-    return c
-
-
 def infinitesimal_extremal_origin(data):
     """Minimal l1 coefficient norm matching the origin derivative data.
 
-    Returns (norm_lower_bound, extremal, witness): the minimum of
-    ||c||_1 over c with c . v^k = u^k, whether that minimum certifies
-    extremality (>= 1 - 1e-9), and the attaining c.  A self-map of the
-    polydisk fixing 0 with these derivatives exists iff the minimum is
-    at most 1.
+    Returns (minimum, extremal, witness): a c with c . v^k = u^k, its
+    ||c||_1, within L1_BRACKET_RTOL * max(1, ||c||_1) of the least such
+    norm, and whether the bracket's lower end reaches 1 - 1e-9.  A self-map
+    of the polydisk fixing 0 with these derivatives exists iff the least
+    norm is at most 1.  The bracket comes from a barrier path on the dual,
+    max Re<y, Q* u> subject to |(V* Q y)_r| < 1 with Q spanning the range
+    of V: each strictly feasible y bounds the least norm from below, and
+    each Newton step gives a c with V c = u (barrier gradient plus Hessian
+    times step, over tau) bounding it from above.  Raises ConditioningError
+    with the bracket when L1_NEWTON_BUDGET steps do not close it.
     """
     V = np.array(data.vectors, dtype=complex)
     u = np.array(data.targets, dtype=complex)
-    c = _irls_l1(V, u)
-    minimum = float(np.sum(np.abs(c)))
-    # dual sanity bound: any multiplier vector gives a certified floor
-    try:
-        mu = np.linalg.lstsq(V @ np.conj(V.T), u, rcond=None)[0]
-        row = np.conj(V.T) @ mu
-        sup = np.max(np.abs(row))
-        if sup > 0:
-            floor = abs(np.vdot(mu, u)) / sup
-            if floor > minimum + 1e-6 * max(1.0, minimum):
-                raise ConditioningError(
-                    "l1 duality gap inverted; minimizer did not converge"
-                )
-    except np.linalg.LinAlgError:
-        pass
-    extremal = minimum >= 1.0 - 1e-9
-    return minimum, extremal, tuple(c)
+    c, *_ = np.linalg.lstsq(V, u, rcond=None)
+    if np.linalg.norm(V @ c - u) > 1e-9 * max(1.0, np.linalg.norm(u)):
+        raise InfeasibleConstraintsError("constraint system V c = u has no solution")
+    Q, sv, _ = np.linalg.svd(V, full_matrices=False)
+    Q = Q[:, sv > 1e-12 * sv[0]]
+    Wh, ut = np.conj(V.T) @ Q, np.conj(Q.T) @ u
+    # real form: x = [Re y; Im y] maps to a = [Re V*Qy; Im V*Qy] = A x
+    A = np.block([[Wh.real, -Wh.imag], [Wh.imag, Wh.real]])
+    b = np.concatenate([ut.real, ut.imag])
+    same = np.tile(np.eye(V.shape[1]), (2, 2))
+    x, tau = np.zeros(A.shape[1]), 1.0
+    for _ in range(L1_NEWTON_BUDGET):
+        a = A @ x
+        s = np.tile(1.0 - np.sum(a.reshape(2, -1) ** 2, axis=0), 2)
+        # gradient and Hessian of -sum_r log(1 - |a_r|^2) in a
+        g = 2.0 * a / s
+        H = np.diag(2.0 / s) + 4.0 * same * np.outer(a / s, a / s)
+        rhs = tau * b - A.T @ g
+        step = np.linalg.solve(A.T @ H @ A, rhs)
+        cr = (g + H @ (A @ step)) / tau
+        c = np.array([1.0, 1j]) @ cr.reshape(2, -1)
+        lower, upper = float(b @ x), float(np.sum(np.abs(c)))
+        if upper - lower <= L1_BRACKET_RTOL * max(1.0, upper):
+            return upper, lower >= 1.0 - 1e-9, tuple(c)
+        dec = float(step @ rhs)
+        x = x + step / (1.0 + np.sqrt(dec))
+        if dec < 0.25:
+            tau *= 10.0
+    raise ConditioningError(f"l1 bracket [{lower:.17g}, {upper:.17g}] did not close "
+                            f"in {L1_NEWTON_BUDGET} Newton steps")

@@ -175,6 +175,27 @@ class TestAglerFeasible:
         assert isinstance(agler_feasible(data, t=norm * 1.001), Feasible)
         assert isinstance(agler_feasible(data, t=norm * 0.999), Infeasible)
 
+    def test_shared_coordinate_start_with_factorizable_kernel(self):
+        # nodes 0 and 1 share their first coordinate, yet rounding lets the
+        # Cholesky factorization of the singular Szego kernel succeed; the
+        # path must still start from the shifted point
+        nodes = (
+            ((-0.8680158228097686+0.01742944883378556j), (-0.09981871665018867-0.4719494536326993j)),
+            ((-0.8680158228097686+0.01742944883378556j), (0.7729724583450617-0.2805275129478421j)),
+            ((0.42562195582608264+0.7810190609170449j), (-0.17903491465368374-0.3152088349776639j)),
+        )
+        targets = ((-0.02314777193928619-0.6335442969875954j), (0.300726681439661+0.5212334208098313j),
+                   (0.22135087261381228-0.8506477999731527j))
+        data = PolyPickData(d=2, nodes=nodes, targets=targets)
+        norm = float(schur_agler_norm(data))
+        # restricted to the slice z1 = nodes[0][0], an interpolant is a disk
+        # Schur function through the first two nodes' second coordinates
+        slice_norm = minimal_norm(DiskPickData(nodes=(nodes[0][1], nodes[1][1]),
+                                               targets=targets[:2]))
+        assert norm >= slice_norm * (1.0 - 1e-9)
+        assert isinstance(agler_feasible(data, t=norm * 1.001), Feasible)
+        assert isinstance(agler_feasible(data, t=norm * 0.999), Infeasible)
+
 
 class TestSchurAglerNorm:
     def test_canonical_diagonal_value(self):

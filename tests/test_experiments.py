@@ -17,7 +17,7 @@ from polydisklab import (
 )
 from polydisklab.agler import CAVEAT_D3
 from polydisklab.errors import DomainError, ResolutionExhaustedError
-from polydisklab.experiments import _omitted_arc
+from polydisklab.experiments import ARC_ETA, ARC_GRID, _omitted_arc
 
 CANONICAL = PolyPickData(d=2, nodes=((0.0, 0.0), (0.5, 0.5)), targets=(0.0, 0.7))
 
@@ -53,6 +53,50 @@ class TestOmittedArc:
         assert gap == pytest.approx(np.pi, abs=0.1)
         assert abs(mid - (-1j)) < 0.1
         assert 0.45 < frac < 0.55
+
+    def test_matches_loop_reference(self):
+        # the marking loop and run scan the array version replaced; ties
+        # between equal runs go to the first one
+        def reference(samples):
+            F = samples[np.abs(samples) >= 1.0 - ARC_ETA]
+            covered = np.zeros(ARC_GRID, dtype=bool)
+            width = np.arccos(np.clip((1.0 - ARC_ETA) / np.abs(F), -1.0, 1.0))
+            scale = ARC_GRID / (2.0 * np.pi)
+            lo = np.floor((np.angle(F) - width) * scale).astype(int)
+            hi = np.ceil((np.angle(F) + width) * scale).astype(int)
+            for a, b in zip(lo.tolist(), hi.tolist()):
+                covered[np.arange(a, b + 1) % ARC_GRID] = True
+            frac = float(covered.mean())
+            if covered.all():
+                return 0.0, None, frac
+            if not covered.any():
+                return 2.0 * np.pi, None, frac
+            runs, start = [], None
+            ext = np.concatenate([covered, covered])
+            for i in range(2 * ARC_GRID):
+                if not ext[i] and start is None:
+                    start = i
+                elif ext[i] and start is not None:
+                    runs.append((start, i))
+                    start = None
+            if start is not None:
+                runs.append((start, 2 * ARC_GRID))
+            a, b = max(runs, key=lambda ab: ab[1] - ab[0])
+            theta = (a + b) / 2.0 % ARC_GRID * 2.0 * np.pi / ARC_GRID
+            return (min(b - a, ARC_GRID) * 2.0 * np.pi / ARC_GRID,
+                    complex(np.exp(1j * theta)), frac)
+
+        rng = np.random.default_rng(3)
+        for i in range(200):
+            n = int(rng.integers(0, 40))
+            r = 1.0 - 3e-3 * rng.random(n)
+            if i % 3 == 1:
+                r = r * (1.0 + rng.random(n))  # |F| > 1 covers nearly pi
+            th = 2.0 * np.pi * rng.random(n)
+            if i % 3 == 2:
+                th = np.round(th * 4.0 / np.pi) * np.pi / 4.0  # equal runs
+            F = r * np.exp(1j * th)
+            assert _omitted_arc(F) == reference(F)
 
 
 class TestExg1Candidate:
