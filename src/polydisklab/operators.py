@@ -30,6 +30,7 @@ from .errors import (
 )
 from .polynomials import (
     Polynomial,
+    _coefficient_stack,
     effective_torus_grid,
     random_polynomial,
     sup_on_torus,
@@ -142,28 +143,34 @@ def apply_node_values(tup, values):
 
 
 def evaluate_function(tup, p):
-    """p(T_1, ..., T_d) by monomial substitution with cached powers."""
+    """p(T_1, ..., T_d): the one-polynomial case of _function_values."""
     if not isinstance(p, Polynomial):
         raise DomainError("expected a Polynomial")
     if p.d != tup.d:
         raise DimensionMismatchError(
             f"polynomial in {p.d} variables, tuple has {tup.d}"
         )
+    return _function_values(tup, [p])[0]
+
+
+def _function_values(tup, polys):
+    """p(T_1, ..., T_d) for every p in polys (all in tup.d variables), as
+    an (m, n, n) array.
+
+    The table of monomials T_1^a_1 ... T_d^a_d, a up to the largest
+    degree of the batch in each variable, is built once and contracted
+    with the stacked coefficient tensors in one matmul.
+    """
+    C = _coefficient_stack(polys)
     n = tup.gram_vectors.shape[0]
-    powers = []
-    for j, T in enumerate(tup.matrices):
-        pj = [np.eye(n, dtype=complex)]
-        for _ in range(p.degree_in(j)):
-            pj.append(pj[-1] @ T)
-        powers.append(pj)
-    out = np.zeros((n, n), dtype=complex)
-    for e, c in p.coeffs.items():
-        M = powers[0][e[0]]
-        for j in range(1, tup.d):
-            if e[j]:
-                M = M @ powers[j][e[j]]
-        out = out + c * M
-    return out
+    table = np.eye(n, dtype=complex)[None]
+    for T, width in zip(tup.matrices, C.shape[1:]):
+        powers = [np.eye(n, dtype=complex)]
+        for _ in range(width - 1):
+            powers.append(powers[-1] @ T)
+        table = (table[:, None] @ np.stack(powers)[None]).reshape(-1, n, n)
+    values = C.reshape(len(polys), -1) @ table.reshape(len(table), n * n)
+    return values.reshape(-1, n, n)
 
 
 def defect_identity_residual(tup, p, c):
@@ -243,25 +250,36 @@ def von_neumann_check(tup, samples=VN_SAMPLES, seed=0):
     """Largest ||p(T)|| / sup_torus |p| over random polynomials.
 
     Samples mix dense Gaussian polynomials with Taylor truncations of
-    random transfer functions.  The torus supremum uses the FFT grid
-    plus local refinement, and the grid resolution is recorded on the
-    report.
+    random transfer functions.  All samples are drawn first; their torus
+    suprema then come from one batched sup_on_torus call (the FFT grid
+    plus a shared local refinement; the grid resolution is recorded on
+    the report) and their ||p(T)|| from one contraction of the monomial
+    table (_function_values) and one batched SVD.  Samples with zero
+    supremum are skipped; the worst function is the first sample of the
+    largest ratio, and with no sample left the ratio is -inf and the
+    worst function None.
     """
     rng = np.random.default_rng(seed)
+    polys = [
+        _sample_test_polynomial(rng, tup.d, VN_MAX_DEGREE)
+        for _s in range(samples)
+    ]
+    sups = sup_on_torus(polys)
+    kept = np.flatnonzero(sups > 0.0)
     worst = -np.inf
     worst_p = None
-    grid_used = effective_torus_grid(tup.d)
-    for _s in range(samples):
-        p = _sample_test_polynomial(rng, tup.d, VN_MAX_DEGREE)
-        sup = sup_on_torus(p)
-        if sup <= 0.0:
-            continue
-        ratio = float(np.linalg.norm(evaluate_function(tup, p), 2)) / sup
-        if ratio > worst:
-            worst = ratio
-            worst_p = p
+    if len(kept):
+        values = _function_values(tup, [polys[i] for i in kept])
+        norms = np.linalg.svd(values, compute_uv=False)[:, 0]
+        ratios = norms / sups[kept]
+        i = int(np.argmax(ratios))
+        worst = float(ratios[i])
+        worst_p = polys[kept[i]]
     return VNReport(
-        max_ratio=worst, worst_function=worst_p, samples=samples, grid=grid_used
+        max_ratio=worst,
+        worst_function=worst_p,
+        samples=samples,
+        grid=effective_torus_grid(tup.d),
     )
 
 

@@ -3,10 +3,14 @@
 Shared by the variety tools (generators), the operator-theory checks
 (test functions on the torus), and the experiment drivers.  Polynomials
 are stored sparsely as exponent-tuple -> coefficient maps.  The
-supremum on the unit torus starts from an FFT evaluation grid and
-refines the best candidates in rounds; each round evaluates a local
-tensor grid around every candidate at once, by contracting per-axis
-tables of exp(i a theta) with the coefficient tensor.
+supremum on the unit torus takes one polynomial or a batch of them.  A
+one-term polynomial has constant modulus there, so its supremum is |c|.
+Every other polynomial gets an FFT evaluation grid, whose best points
+seed windows that are refined in rounds shared by the whole batch: each
+round drops coincident windows, then evaluates a local tensor grid
+around every window, a fixed-size block of windows at a time, by
+contracting per-axis tables of exp(i a theta) with the coefficient
+tensors, zero-padded to one shape.
 """
 
 from __future__ import annotations
@@ -30,6 +34,10 @@ REFINE_SHRINK = 3.0
 # Polynomial.__call__ evaluates this many points at a time, so that its
 # (points x terms x d) power tensor stays bounded.
 EVAL_BLOCK = 1024
+# sup_on_torus evaluates the local grids of its windows in blocks of at
+# most this many points (one window at least), so that a batch's working
+# set stays bounded: 256 windows of 9 x 9 points for d = 2.
+REFINE_BLOCK = 20736
 
 _COEFF_CHOP = 1e-15
 
@@ -251,12 +259,22 @@ def random_polynomial(rng, d, degree, scale=1.0):
     return Polynomial(d, coeffs)
 
 
-def _coefficient_tensor(p):
-    shape = tuple(p.degree_in(k) + 1 for k in range(p.d))
-    C = np.zeros(shape, dtype=complex)
-    for e, c in p.coeffs.items():
-        C[e] = c
+def _coefficient_stack(polys):
+    """Coefficient tensors of polynomials in the same d, zero-padded to
+    one shape: C[i, a_0, ..., a_{d-1}] is the coefficient of z^a in
+    polys[i]."""
+    d = polys[0].d
+    shape = tuple(max(p.degree_in(k) for p in polys) + 1 for k in range(d))
+    C = np.zeros((len(polys),) + shape, dtype=complex)
+    for i, p in enumerate(polys):
+        if p.coeffs:
+            A, c = p._arrays()
+            C[(i,) + tuple(A.T)] = c
     return C
+
+
+def _coefficient_tensor(p):
+    return _coefficient_stack([p])[0]
 
 
 def effective_torus_grid(d):
@@ -292,21 +310,26 @@ def _phases(angles, width):
 
 
 def _local_grid_values(C, at_centre, at_offset):
-    """Values of p on a local tensor grid around every candidate at once.
+    """Values of polynomials on a local tensor grid around every window.
 
-    C is the coefficient tensor of p (see _coefficient_tensor).
-    at_centre = _phases(thetas, w) holds the (c, d) window centres and
-    at_offset = _phases(offsets, w) the (c, P) or (P,) angle offsets
-    taken along every axis, with w at least max(C.shape).  Returns the
-    complex values at thetas[c] + (offsets[c, i_0], ..., offsets[c, i_{d-1}])
-    as a (c, P, ..., P) array.  Axis k contributes the table
+    C is the coefficient tensor of one polynomial, shared by all windows
+    (see _coefficient_tensor), or a stack of them, one per window (see
+    _coefficient_stack).  at_centre = _phases(thetas, w) holds the (c, d)
+    window centres and at_offset = _phases(offsets, w) the (c, P) or (P,)
+    angle offsets taken along every axis, with w at least the largest
+    axis of C.  Returns the complex values at
+    thetas[c] + (offsets[c, i_0], ..., offsets[c, i_{d-1}]) as a
+    (c, P, ..., P) array.  Axis k contributes the table
     E_k[c, i, a] = exp(i a thetas[c, k]) * exp(i a offsets[c, i]),
     a = 0..n_k, and the tables are contracted with C one axis at a time
-    by batched matmuls, which for d = 2 is (E_0 @ C) @ E_1^T.
+    by batched matmuls, which for d = 2 is (E_0 @ C) @ E_1^T.  Each
+    window is its own matmul, so its values do not depend on which
+    other windows share the call.
     """
+    d = at_centre.shape[1]
     # T holds the axes still to contract, then the grid axes done so far
-    T = C[None]
-    for k, n in enumerate(C.shape):
+    T = C.reshape((-1,) + C.shape[C.ndim - d:])
+    for k, n in enumerate(T.shape[1:]):
         E = at_centre[:, k, None, :n] * at_offset[..., :n]
         out = E @ T.reshape(T.shape[0], n, -1)
         out = out.reshape(E.shape[:2] + T.shape[2:])
@@ -317,18 +340,34 @@ def _local_grid_values(C, at_centre, at_offset):
 def sup_on_torus(p):
     """Supremum of |p| over the unit torus.
 
-    An FFT grid scan picks the REFINE_CANDIDATES best grid points.  Each
-    round then evaluates a REFINE_POINTS^d local grid around every
-    candidate in one batch (_local_grid_values) and moves each candidate
-    to its best local point.  A window starts at half-width one grid
-    spacing, 2 pi / grid, and shrinks REFINE_SHRINK-fold whenever its best
-    point is interior, so the next window still covers the local spacing
-    (a quarter of the half-width) around it.  A window whose best point
-    lies on its edge keeps its size, since the maximum may lie beyond:
-    on a thin slanted ridge the best sample can sit several spacings
-    from the crest's maximum along the ridge.  Refinement ends once every
-    window has shrunk REFINE_STAGES times (the last local spacing is
-    then below 1e-8 rad), or after 2 * REFINE_STAGES rounds.
+    p is one Polynomial, which gives a float, or a sequence of them in
+    the same number of variables, which gives an array with one supremum
+    each (DomainError if the variable counts differ).  The zero
+    polynomial gives 0.0 and a one-term polynomial c z^a, of constant
+    modulus on the torus, gives |c| exactly, neither with a grid.
+
+    For every other polynomial an FFT grid scan picks its
+    REFINE_CANDIDATES best grid points, the centres of its windows.
+    Each round then evaluates a REFINE_POINTS^d local grid in every
+    window of the batch (_local_grid_values, on the coefficient tensors
+    zero-padded to one shape, at most REFINE_BLOCK local grid points per
+    call) and moves each window to its best local point.  A window
+    starts at half-width one grid spacing, 2 pi / grid, and shrinks
+    REFINE_SHRINK-fold whenever its best point is interior, so the next
+    window still covers the local spacing (a quarter of the half-width)
+    around it.  A window whose best point lies on its edge keeps its
+    size, since the maximum may lie beyond: on a thin slanted ridge the
+    best sample can sit several spacings from the crest's maximum along
+    the ridge.  A polynomial's refinement ends once its windows have all shrunk
+    REFINE_STAGES times (the last local spacing is then below 1e-8 rad),
+    or after 2 * REFINE_STAGES rounds; its windows then leave the batch.
+    Neighbouring grid points often converge onto one centre: a window
+    with the polynomial, centre and shrink count of another is dropped
+    at the start of a round, which changes nothing, since coincident
+    windows stay coincident.  So each supremum is the refinement its
+    polynomial gets on its own: bit for bit when the batch shares one
+    coefficient shape, else within the rounding of the padded
+    contraction (1e-15 relative).
 
     Measured against certified brackets from a branch and bound on
     |p|^2 (tests/test_polynomials.py), no result fell short of the
@@ -338,33 +377,75 @@ def sup_on_torus(p):
     the width of the bracket itself.  The value is attained on the
     torus, so it exceeds the supremum only by rounding.
     """
-    if not p.coeffs:
-        return 0.0
+    single = isinstance(p, Polynomial)
+    polys = [p] if single else list(p)
+    if len({q.d for q in polys}) > 1:
+        raise DomainError("polynomials of one batch must share their variable count")
+    best = np.zeros(len(polys))
+    refined = []
+    for i, q in enumerate(polys):
+        if len(q.coeffs) == 1:
+            best[i] = abs(next(iter(q.coeffs.values())))
+        elif q.coeffs:
+            refined.append(i)
+    if refined:
+        best[refined] = _refined_suprema([polys[i] for i in refined])
+    return float(best[0]) if single else best
+
+
+def _grid_candidates(p):
+    """The REFINE_CANDIDATES best points of p's FFT grid, as (c, d)
+    angles, and the largest grid value."""
     absvals, grid = torus_grid_values(p)
     flat = absvals.ravel()
     take = min(REFINE_CANDIDATES, flat.size)
     idx = np.argpartition(flat, flat.size - take)[-take:]
     centers = np.stack(np.unravel_index(idx, absvals.shape), axis=1)
-    thetas = centers.astype(float) * (2.0 * np.pi / grid)
-    best = float(flat[idx].max())
+    return centers.astype(float) * (2.0 * np.pi / grid), float(flat[idx].max())
 
-    C = _coefficient_tensor(p)
-    width = max(C.shape)
+
+def _refined_suprema(polys):
+    """The grid scan and the batched window refinement of sup_on_torus."""
+    d = polys[0].d
+    grid = effective_torus_grid(d)
+    scans = [_grid_candidates(p) for p in polys]
+    thetas = np.concatenate([t for t, _ in scans])
+    owner = np.repeat(np.arange(len(polys)), [len(t) for t, _ in scans])
+    best = np.array([b for _, b in scans])
+
+    C = _coefficient_stack(polys)
+    width = max(C.shape[1:])
     offsets = np.linspace(-1.0, 1.0, REFINE_POINTS)
-    strides = REFINE_POINTS ** np.arange(p.d - 1, -1, -1)
+    strides = REFINE_POINTS ** np.arange(d - 1, -1, -1)
     stages = REFINE_STAGES
     half_widths = (2.0 * np.pi / grid) / REFINE_SHRINK ** np.arange(stages + 1)
     offset_phases = _phases(np.multiply.outer(half_widths, offsets), width)
-    shrinks = np.zeros(take, dtype=int)
+    shrinks = np.zeros(len(owner), dtype=int)
+    block = max(1, REFINE_BLOCK // REFINE_POINTS ** d)
     for _round in range(2 * stages):
-        if shrinks.min() >= stages:
+        # keep the windows of unfinished polynomials, one per
+        # (polynomial, shrink count, centre)
+        unfinished = np.zeros(len(polys), dtype=bool)
+        unfinished[owner[shrinks < stages]] = True
+        live = np.flatnonzero(unfinished[owner])
+        if not len(live):
             break
-        vals = _local_grid_values(
-            C, _phases(thetas, width), offset_phases[shrinks]
-        )
-        vals = np.abs(vals).reshape(take, -1)
-        k = np.argmax(vals, axis=1)
-        best = max(best, float(vals.max()))
+        keys = np.column_stack([owner, shrinks, thetas])[live]
+        order = np.lexsort(keys.T)
+        rows = keys[order]
+        first = np.ones(len(rows), dtype=bool)
+        first[1:] = np.any(rows[1:] != rows[:-1], axis=1)
+        keep = live[np.sort(order[first])]
+        owner, shrinks, thetas = owner[keep], shrinks[keep], thetas[keep]
+        k = np.empty(len(owner), dtype=int)
+        for start in range(0, len(owner), block):
+            b = slice(start, start + block)
+            vals = _local_grid_values(
+                C[owner[b]], _phases(thetas[b], width), offset_phases[shrinks[b]]
+            )
+            vals = np.abs(vals).reshape(len(vals), -1)
+            k[b] = np.argmax(vals, axis=1)
+            np.maximum.at(best, owner[b], vals[np.arange(len(vals)), k[b]])
         steps = k[:, None] // strides % REFINE_POINTS
         thetas = thetas + half_widths[shrinks, None] * offsets[steps]
         interior = np.all((steps > 0) & (steps < REFINE_POINTS - 1), axis=1)

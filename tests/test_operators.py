@@ -130,7 +130,29 @@ class TestVonNeumann:
         p = report.worst_function
         sup = sup_on_torus(p)
         norm = float(np.linalg.norm(evaluate_function(canonical_tuple, p), 2))
-        assert norm / sup == pytest.approx(report.max_ratio, rel=1e-9)
+        assert norm / sup == pytest.approx(report.max_ratio, rel=1e-14)
+
+    def test_no_samples(self, canonical_tuple):
+        report = von_neumann_check(canonical_tuple, samples=0, seed=3)
+        assert report.max_ratio == -np.inf
+        assert report.worst_function is None
+        assert report.samples == 0
+        assert report.grid == effective_torus_grid(2)
+
+    def test_one_sample(self, canonical_tuple):
+        # the first draw of seed 3, a dense degree-2 polynomial, and the
+        # ratio the per-sample loop gave for it
+        report = von_neumann_check(canonical_tuple, samples=1, seed=3)
+        assert report.max_ratio == pytest.approx(0.4418432433450217, rel=1e-14)
+        assert report.worst_function.to_payload() == {"d": 2, "terms": [
+            [0, 0, 0.41809884672577885, -0.5677696061279298],
+            [0, 1, -0.45264929211044586, -0.2155971630897659],
+            [0, 2, -2.019986129147251, -0.23193237764418947],
+            [1, 0, -0.8652130762749417, 3.3229995166448827],
+            [1, 1, 0.22578661322792176, -0.3526307943415954],
+            [2, 0, -0.2812874181513504, -0.6680463461089501],
+        ]}
+        assert report.samples == 1
 
     def test_colligation_draws_are_unchanged(self, canonical_tuple):
         # the von Neumann samples and the Schur-Agler transfer functions

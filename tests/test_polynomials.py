@@ -5,9 +5,17 @@ import pytest
 
 from polydisklab import Polynomial, random_polynomial, sup_on_torus
 from polydisklab.errors import DomainError
-from polydisklab.operators import VN_MAX_DEGREE, _sample_test_polynomial
+from polydisklab.operators import (
+    VN_MAX_DEGREE,
+    _sample_test_polynomial,
+    _transfer_taylor,
+)
 from polydisklab.polynomials import (
     MAX_DEGREE,
+    REFINE_CANDIDATES,
+    REFINE_POINTS,
+    REFINE_SHRINK,
+    REFINE_STAGES,
     _coefficient_tensor,
     _local_grid_values,
     _phases,
@@ -93,14 +101,13 @@ class TestTorusSup:
         assert sup_on_torus(p) == pytest.approx(3.0, abs=1e-9)
 
     def test_monomials(self):
+        # one term: constant modulus on the torus, so |c| in closed form
         for k in (1, 3, 7):
-            assert sup_on_torus(monomial(1, (k,))) == pytest.approx(1.0, abs=1e-12)
-        assert sup_on_torus(monomial(3, (1, 2, 0), coeff=2.5)) == pytest.approx(
-            2.5, abs=1e-9
-        )
+            assert sup_on_torus(monomial(1, (k,))) == 1.0
+        assert sup_on_torus(monomial(3, (1, 2, 0), coeff=2.5)) == 2.5
 
     def test_constant_and_zero(self):
-        assert sup_on_torus(Polynomial(2, {(0, 0): -1.5j})) == pytest.approx(1.5)
+        assert sup_on_torus(Polynomial(2, {(0, 0): -1.5j})) == 1.5
         assert sup_on_torus(Polynomial(2, {})) == 0.0
 
     def test_bounds_consistency(self):
@@ -206,6 +213,102 @@ class TestLocalGridKernel:
         mono = self._check(monomial(3, (0, 2, 0), coeff=1.5j),
                            2.0 * np.pi * rng.random((3, 3)), offsets)
         assert np.allclose(np.abs(mono), 1.5, rtol=0, atol=1e-14)
+
+
+def _unmerged_sup(p):
+    """sup_on_torus's refinement for one polynomial with at least two
+    terms, as a loop over rounds that keeps every window: coincident
+    windows are refined side by side, and the loop runs until all
+    windows have shrunk REFINE_STAGES times or 2 * REFINE_STAGES rounds
+    have passed."""
+    absvals, grid = torus_grid_values(p)
+    flat = absvals.ravel()
+    take = min(REFINE_CANDIDATES, flat.size)
+    idx = np.argpartition(flat, flat.size - take)[-take:]
+    centers = np.stack(np.unravel_index(idx, absvals.shape), axis=1)
+    thetas = centers.astype(float) * (2.0 * np.pi / grid)
+    best = float(flat[idx].max())
+    C = _coefficient_tensor(p)
+    width = max(C.shape)
+    offsets = np.linspace(-1.0, 1.0, REFINE_POINTS)
+    strides = REFINE_POINTS ** np.arange(p.d - 1, -1, -1)
+    half_widths = (2.0 * np.pi / grid) / REFINE_SHRINK ** np.arange(REFINE_STAGES + 1)
+    offset_phases = _phases(np.multiply.outer(half_widths, offsets), width)
+    shrinks = np.zeros(take, dtype=int)
+    for _round in range(2 * REFINE_STAGES):
+        if shrinks.min() >= REFINE_STAGES:
+            break
+        vals = _local_grid_values(C, _phases(thetas, width), offset_phases[shrinks])
+        vals = np.abs(vals).reshape(take, -1)
+        k = np.argmax(vals, axis=1)
+        best = max(best, float(vals.max()))
+        steps = k[:, None] // strides % REFINE_POINTS
+        thetas = thetas + half_widths[shrinks, None] * offsets[steps]
+        interior = np.all((steps > 0) & (steps < REFINE_POINTS - 1), axis=1)
+        shrinks = np.minimum(shrinks + interior, REFINE_STAGES)
+    return best
+
+
+def _mixed_batch(rng, d, count, max_degree):
+    """von_neumann_check's sampler, with a zero polynomial, a one-term
+    polynomial and a two-term one of unequal degrees per axis in every
+    ten draws, so the batch mixes coefficient shapes."""
+    out = []
+    for i in range(count):
+        if i % 10 == 3:
+            out.append(Polynomial(d, {}))
+        elif i % 10 == 6:
+            expo = tuple(int(a) for a in rng.integers(0, max_degree + 1, d))
+            out.append(monomial(d, expo, coeff=rng.normal() + 1j * rng.normal()))
+        elif i % 10 == 8:
+            expo = [0] * d
+            expo[int(rng.integers(d))] = max_degree
+            out.append(Polynomial(d, {(0,) * d: 0.5j, tuple(expo): 1.0 - 0.2j}))
+        else:
+            out.append(_sample_test_polynomial(rng, d, max_degree))
+    return out
+
+
+class TestBatchedSupremum:
+    """sup_on_torus on a sequence against one call per polynomial, and
+    the merged refinement against the loop that keeps every window."""
+
+    @pytest.mark.parametrize("d, count, max_degree",
+                             [(1, 300, VN_MAX_DEGREE), (2, 250, VN_MAX_DEGREE), (3, 10, 2)])
+    def test_batch_matches_single_calls(self, d, count, max_degree):
+        polys = _mixed_batch(np.random.default_rng(70 + d), d, count, max_degree)
+        got = sup_on_torus(polys)
+        want = np.array([sup_on_torus(p) for p in polys])
+        assert isinstance(got, np.ndarray) and got.shape == (count,)
+        assert np.all(np.abs(got - want) <= 1e-15 * want)
+        assert np.all(got[3::10] == 0.0)
+        assert np.array_equal(
+            got[6::10], [abs(next(iter(p.coeffs.values()))) for p in polys[6::10]]
+        )
+
+    def test_one_shape_batch_is_bit_identical(self):
+        # without zero padding every window is contracted as in a single
+        # call, so only a change in which rounds a polynomial gets, such
+        # as refining it until the whole batch is done, moves a bit
+        rng = np.random.default_rng(5)
+        polys = [random_polynomial(rng, 2, 4) if i % 2 else _transfer_taylor(rng, 2, 4)
+                 for i in range(200)]
+        assert {_coefficient_tensor(p).shape for p in polys} == {(5, 5)}
+        assert np.array_equal(sup_on_torus(polys), [sup_on_torus(p) for p in polys])
+
+    def test_mixed_variable_counts_rejected(self):
+        with pytest.raises(DomainError):
+            sup_on_torus([monomial(2, (1, 0)), monomial(3, (1, 0, 0))])
+
+    def test_empty_batch(self):
+        got = sup_on_torus([])
+        assert isinstance(got, np.ndarray) and got.shape == (0,)
+
+    def test_merged_matches_unmerged_reference(self):
+        rng = np.random.default_rng(31)
+        for _ in range(200):
+            p = _sample_test_polynomial(rng, 2, VN_MAX_DEGREE)
+            assert sup_on_torus(p) == _unmerged_sup(p)
 
 
 def _certified_bracket(p, grid, rtol=1e-9, max_boxes=200_000):
