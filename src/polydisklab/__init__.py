@@ -18,7 +18,6 @@ from .agler import (
     PolyPickData,
     SchurAglerNorm,
     agler_feasible,
-    dual_kernel_membership_evidence,
     sample_schur_agler_function,
     schur_agler_norm,
 )

@@ -103,11 +103,11 @@ def write_json(path, obj):
 
 def as_complex(value):
     """Decode a JSON value as a complex number ([re, im] or a number)."""
-    if isinstance(value, (list, tuple)):
-        if len(value) != 2:
-            raise DomainError("complex values must be [re, im] pairs")
-        return complex(float(value[0]), float(value[1]))
-    if isinstance(value, (int, float)):
+    if isinstance(value, (list, tuple)) and len(value) == 2:
+        re, im = value
+        if isinstance(re, (int, float)) and isinstance(im, (int, float)):
+            return complex(float(re), float(im))
+    elif isinstance(value, (int, float)):
         return complex(value)
     raise DomainError("complex values must be [re, im] pairs or numbers")
 

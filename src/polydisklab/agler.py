@@ -554,47 +554,3 @@ def sample_schur_agler_function(rng, d):
 
         return phi
     return _random_transfer_function(rng, d)
-
-
-@dataclasses.dataclass(frozen=True)
-class MembershipEvidence:
-    """Sampled evidence that a kernel annihilates the Schur-Agler ball."""
-
-    min_eigenvalue: float
-    samples: int
-    passed: bool
-    worst_sample: int
-
-
-def dual_kernel_membership_evidence(K, nodes, samples=1000, seed=0):
-    """Test a dual kernel against random Schur-Agler-class functions.
-
-    For each sampled phi the matrix [(1 - phi(l_i) conj(phi(l_j))) K_ij]
-    must stay PSD; the report carries the most negative eigenvalue seen.
-    This is sampled evidence over the Schur-Agler subclass, not a proof
-    of cone membership.
-    """
-    if isinstance(K, DualKernel):
-        K = K.K
-    K = np.asarray(K, dtype=complex)
-    if float(np.linalg.eigvalsh(K).min()) <= 0.0:
-        raise DomainError("kernel must be positive definite")
-    pts = [check_poly_point(p) for p in nodes]
-    d = len(pts[0])
-    rng = np.random.default_rng(seed)
-    worst = np.inf
-    worst_idx = -1
-    for s in range(samples):
-        phi = sample_schur_agler_function(rng, d)
-        w = np.array([phi(p) for p in pts], dtype=complex)
-        A = _herm((1.0 - np.outer(w, np.conj(w))) * K)
-        me = float(np.linalg.eigvalsh(A).min())
-        if me < worst:
-            worst = me
-            worst_idx = s
-    return MembershipEvidence(
-        min_eigenvalue=worst,
-        samples=samples,
-        passed=worst >= -1e-8,
-        worst_sample=worst_idx,
-    )

@@ -22,29 +22,23 @@ BOUNDARY_TOL = 1e-12
 DEFAULT_TOL = 1e-9
 
 
-def check_disk_point(z, closed=False):
-    """Validate membership in the unit disk and return ``z`` as a complex.
-
-    With ``closed=True`` the closed disk is allowed; otherwise points with
-    1 - |z| < BOUNDARY_TOL are rejected as interior points.
-    """
+def check_disk_point(z):
+    """Validate membership in the open unit disk and return ``z`` as a
+    complex; points with 1 - |z| < BOUNDARY_TOL are rejected as interior
+    points."""
     z = complex(z)
-    if closed:
-        if abs(z) > 1.0 + BOUNDARY_TOL:
-            raise DomainError(f"point {z} lies outside the closed unit disk")
-    else:
-        if 1.0 - abs(z) < BOUNDARY_TOL:
-            raise DomainError(f"point {z} is not interior to the unit disk")
+    if 1.0 - abs(z) < BOUNDARY_TOL:
+        raise DomainError(f"point {z} is not interior to the unit disk")
     return z
 
 
-def check_poly_point(z, d=None, closed=False):
+def check_poly_point(z, d=None):
     """Validate a polydisk point given as a sequence of coordinates."""
     coords = tuple(complex(c) for c in z)
     if d is not None and len(coords) != d:
         raise DimensionMismatchError(f"expected dimension {d}, got {len(coords)}")
     for c in coords:
-        check_disk_point(c, closed=closed)
+        check_disk_point(c)
     return coords
 
 

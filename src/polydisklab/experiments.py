@@ -223,7 +223,7 @@ class ExtensionVNReport:
     witness: object
 
 
-def extension_vs_vn(data, f_values=None, variety=None):
+def extension_vs_vn(data):
     """Extension-consistency versus von Neumann violation for the data.
 
     If the minimal decomposition level is at most 1 + 1e-4 the report
@@ -231,14 +231,6 @@ def extension_vs_vn(data, f_values=None, variety=None):
     direction); otherwise it carries an operator tuple on which the
     interpolated function exceeds norm 1 (the von Neumann direction).
     """
-    if f_values is not None:
-        data = PolyPickData(d=data.d, nodes=data.nodes, targets=tuple(f_values))
-    if variety is not None:
-        for p in data.nodes:
-            if not variety_mod.contains(variety, p):
-                raise DomainError(
-                    "interpolation node does not lie on the supplied variety"
-                )
     norm = schur_agler_norm(data)
     if float(norm) <= 1.0 + EXTENSION_TOL:
         # norm is a feasible level of the same barrier path, so t is too

@@ -87,6 +87,26 @@ def parse_pair(text):
         raise _UsageError(f"cannot parse coordinate pair from {text!r}")
 
 
+def _given(value, default):
+    """A flag's value, or the default when the flag is absent (None)."""
+    return default if value is None else value
+
+
+def _int_at_least(least):
+    """An argparse type for an integer flag that must be >= least."""
+
+    def parse(text):
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}")
+        if value < least:
+            raise argparse.ArgumentTypeError(f"must be at least {least}, got {value}")
+        return value
+
+    return parse
+
+
 def load_problem(path):
     with open(path) as fh:
         raw = json.load(fh)
@@ -102,20 +122,28 @@ def load_problem(path):
     if not isinstance(payload, dict):
         raise _UsageError("problem file payload must be a JSON object")
     seed = raw.get("seed", 0)
-    if not isinstance(seed, int):
-        raise _UsageError("seed must be an integer")
+    if not isinstance(seed, int) or seed < 0:
+        raise _UsageError("seed must be a nonnegative integer")
     return {"version": version, "kind": kind, "payload": payload, "seed": seed}
 
 
-def _decode_disk_pick(payload):
+def _nonempty_lists(payload, kind):
     nodes = payload.get("nodes")
     targets = payload.get("targets")
-    if not nodes or not targets:
-        raise _UsageError("disk_pick payload needs nonempty nodes and targets")
-    derivs = tuple(
-        (int(i), ser.as_complex(v))
-        for i, v in payload.get("derivative_constraints", [])
-    )
+    if not (isinstance(nodes, list) and nodes and isinstance(targets, list)
+            and targets):
+        raise _UsageError(f"{kind} payload needs nonempty nodes and targets lists")
+    return nodes, targets
+
+
+def _decode_disk_pick(payload):
+    nodes, targets = _nonempty_lists(payload, "disk_pick")
+    pairs = payload.get("derivative_constraints", [])
+    if not isinstance(pairs, list) or not all(
+        isinstance(c, list) and len(c) == 2 and isinstance(c[0], int) for c in pairs
+    ):
+        raise _UsageError("derivative_constraints must be [node_index, value] pairs")
+    derivs = tuple((i, ser.as_complex(v)) for i, v in pairs)
     return DiskPickData(
         nodes=tuple(ser.as_complex(z) for z in nodes),
         targets=tuple(ser.as_complex(w) for w in targets),
@@ -124,13 +152,14 @@ def _decode_disk_pick(payload):
 
 
 def _decode_poly_pick(payload):
-    nodes = payload.get("nodes")
-    targets = payload.get("targets")
-    if not nodes or not targets:
-        raise _UsageError("poly_pick payload needs nonempty nodes and targets")
+    nodes, targets = _nonempty_lists(payload, "poly_pick")
+    if not all(isinstance(p, list) for p in nodes):
+        raise _UsageError("poly_pick nodes must be lists of coordinates")
     d = payload.get("d", len(nodes[0]))
+    if not isinstance(d, int):
+        raise _UsageError(f"poly_pick d must be an integer, got {d!r}")
     return PolyPickData(
-        d=int(d),
+        d=d,
         nodes=tuple(tuple(ser.as_complex(c) for c in p) for p in nodes),
         targets=tuple(ser.as_complex(w) for w in targets),
     )
@@ -138,7 +167,7 @@ def _decode_poly_pick(payload):
 
 def _decode_generators(payload):
     gens = payload.get("generators")
-    if not gens:
+    if not isinstance(gens, list) or not gens:
         raise _UsageError("variety payload needs a nonempty generators list")
     return tuple(Polynomial.from_payload(g) for g in gens)
 
@@ -147,19 +176,16 @@ def resolve_variety(source, args):
     """A generator tuple and the seed to run with, from 'builtin:<name>'
     or a problem file path.  --seed overrides the file's seed; a builtin
     without --seed runs with seed 0."""
-    seed = args.seed if args.seed is not None else 0
+    seed = _given(args.seed, 0)
     if source.startswith("builtin:"):
         name = source[len("builtin:"):]
         if name == "v0":
             return builtin_v0(), seed
         if name == "rational_inner":
-            a = getattr(args, "A", None)
-            b = getattr(args, "B", None)
-            omega = getattr(args, "omega", None)
             return builtin_rational_inner_graph(
-                a if a is not None else 0.5,
-                b if b is not None else 0.5,
-                omega if omega is not None else 1.0,
+                _given(getattr(args, "A", None), 0.5),
+                _given(getattr(args, "B", None), 0.5),
+                _given(getattr(args, "omega", None), 1.0),
             ), seed
         raise _UsageError(f"unknown builtin variety {name!r}")
     prob = load_problem(source)
@@ -267,8 +293,8 @@ def cmd_variety(args):
     gens, seed = resolve_variety(args.input, args)
     sub = args.variety_cmd
     if sub == "sample":
-        count = args.resolution or 200
-        pts = sample_variety(gens, count=count, seed=seed, tol=args.tol or 1e-9)
+        pts = sample_variety(gens, count=_given(args.resolution, 200), seed=seed,
+                             tol=_given(args.tol, 1e-9))
         result = {"subcommand": sub, "count": len(pts), "seed": seed}
         if args.out:
             ser.write_points_csv(args.out, pts)
@@ -287,8 +313,8 @@ def cmd_variety(args):
         return EXIT_OK
     if sub == "graph":
         pair = args.pair or (1, 2)
-        grid = (args.resolution or 64, args.resolution or 64)
-        rep = extract_graph(gens, pair, grid=grid, seed=seed)
+        side = _given(args.resolution, 64)
+        rep = extract_graph(gens, pair, grid=(side, side), seed=seed)
         result = {
             "subcommand": sub,
             "pair": list(rep.pair),
@@ -322,10 +348,11 @@ def cmd_variety(args):
         _emit(args, result, human, out_is_json=False)
         return EXIT_OK
     if sub == "retract":
+        side = _given(args.resolution, 64)
         rep = retract_check(
             gens,
-            margin=args.margin if args.margin is not None else 1e-3,
-            grid=(args.resolution or 64, args.resolution or 64),
+            margin=_given(args.margin, 1e-3),
+            grid=(side, side),
             seed=seed,
         )
         result = {
@@ -363,11 +390,9 @@ def cmd_variety(args):
         _emit(args, result, human)
         return EXIT_OK if rep.verdict != "inconclusive" else EXIT_UNDECIDED
     if sub == "scan-balanced":
-        count = args.resolution or 200
+        count = _given(args.resolution, 200)
         pts = sample_variety(gens, count=count, seed=seed, tol=1e-9)
-        pairs = scan_balanced_pairs(
-            [tuple(p) for p in pts], tol=args.tol or 1e-9
-        )
+        pairs = scan_balanced_pairs([tuple(p) for p in pts], tol=_given(args.tol, 1e-9))
         result = {
             "subcommand": sub,
             "sample_count": len(pts),
@@ -413,7 +438,7 @@ def cmd_experiment(args):
         if args.m is None:
             raise _UsageError("exg1 requires --m")
         rep = exg1_reproduce(
-            parse_complex(args.m), search_resolution=args.resolution or 2000
+            parse_complex(args.m), search_resolution=_given(args.resolution, 2000)
         )
         result = {
             "experiment": "exg1",
@@ -451,9 +476,9 @@ def cmd_experiment(args):
             data = _decode_poly_pick(prob["payload"])
         elif args.m is not None:
             base = exg1_reproduce(
-                parse_complex(args.m), search_resolution=args.resolution or 2000
+                parse_complex(args.m), search_resolution=_given(args.resolution, 2000)
             )
-            scale = args.scale if args.scale is not None else 1.0
+            scale = _given(args.scale, 1.0)
             data = PolyPickData(
                 d=base.data.d,
                 nodes=base.data.nodes,
@@ -487,7 +512,7 @@ def cmd_experiment(args):
         source = args.input or "builtin:v0"
         gens, seed = resolve_variety(source, args)
         m = parse_complex(args.m) if args.m is not None else 0.9
-        base = exg1_reproduce(m, search_resolution=args.resolution or 2000)
+        base = exg1_reproduce(m, search_resolution=_given(args.resolution, 2000))
         phi = exg1_extremal_candidate(base.m)
         res = circle_image_test(gens, phi, base.data, seed=seed)
         result = {
@@ -512,7 +537,7 @@ def cmd_experiment(args):
             parse_complex(args.alpha),
             parse_complex(args.beta),
             parse_complex(args.gamma),
-            samples=args.samples or 200,
+            samples=_given(args.samples, 200),
         )
         result = {
             "experiment": "uniqueness-fit",
@@ -555,9 +580,9 @@ def build_parser():
         p.add_argument("--json", action="store_true", help="machine JSON on stdout")
 
     def seeded(p):
-        p.add_argument("--seed", type=int, default=None,
+        p.add_argument("--seed", type=_int_at_least(0), default=None,
                        help="overrides the problem file's seed")
-        p.add_argument("--resolution", type=int, default=None)
+        p.add_argument("--resolution", type=_int_at_least(1), default=None)
 
     p_pick = sub.add_parser("pick-solve", help="solve a disk or polydisk problem")
     p_pick.add_argument("input", help="problem file (kind disk_pick or poly_pick)")
@@ -593,7 +618,7 @@ def build_parser():
     p_exp.add_argument("--alpha", default=None)
     p_exp.add_argument("--beta", default=None)
     p_exp.add_argument("--gamma", default=None)
-    p_exp.add_argument("--samples", type=int, default=None)
+    p_exp.add_argument("--samples", type=_int_at_least(1), default=None)
     p_exp.add_argument("--A", type=parse_complex, default=None)
     p_exp.add_argument("--B", type=parse_complex, default=None)
     p_exp.add_argument("--omega", type=parse_complex, default=None)
@@ -606,7 +631,7 @@ def main(argv=None):
     try:
         args = parser.parse_args(argv)
         return args.func(args)
-    except (_UsageError, FileNotFoundError, json.JSONDecodeError) as exc:
+    except (_UsageError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except ResolutionExhaustedError as exc:

@@ -251,7 +251,7 @@ def von_neumann_check(tup, samples=VN_SAMPLES, seed=0):
 
     Samples mix dense Gaussian polynomials with Taylor truncations of
     random transfer functions.  All samples are drawn first; their torus
-    suprema then come from one batched sup_on_torus call (the FFT grid
+    suprema then come from one batched sup_on_torus call (a grid scan
     plus a shared local refinement; the grid resolution is recorded on
     the report) and their ||p(T)|| from one contraction of the monomial
     table (_function_values) and one batched SVD.  Samples with zero

@@ -5,12 +5,13 @@ Shared by the variety tools (generators), the operator-theory checks
 are stored sparsely as exponent-tuple -> coefficient maps.  The
 supremum on the unit torus takes one polynomial or a batch of them.  A
 one-term polynomial has constant modulus there, so its supremum is |c|.
-Every other polynomial gets an FFT evaluation grid, whose best points
-seed windows that are refined in rounds shared by the whole batch: each
-round drops coincident windows, then evaluates a local tensor grid
-around every window, a fixed-size block of windows at a time, by
-contracting per-axis tables of exp(i a theta) with the coefficient
-tensors, zero-padded to one shape.
+Every other polynomial is evaluated on a grid of roots of unity, whose
+best points seed windows that are refined in rounds shared by the whole
+batch: each round drops coincident windows, then evaluates a local
+tensor grid around every window, a fixed-size block of windows at a
+time.  The grid and the windows come from one kernel, which contracts
+per-axis tables of exp(i a theta) with the coefficient tensors,
+zero-padded to one shape in a batch.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from .errors import DomainError
 
 MAX_DEGREE = 12
 
-# Torus supremum: base FFT grid per axis (total size capped), number of
+# Torus supremum: base grid per axis (total size capped), number of
 # candidates kept for refinement, window shrinks per candidate, local
 # grid points per axis, and the factor of each shrink.
 TORUS_GRID = 128
@@ -174,11 +175,6 @@ class Polynomial:
             return other
         return Polynomial(self.d, {(0,) * self.d: complex(other)})
 
-    def conj_coeffs(self):
-        return Polynomial(
-            self.d, {e: np.conj(c) for e, c in self.coeffs.items()}
-        )
-
     def coeffs_in(self, k, values):
         """Ascending coefficients in variable k with the other variables
         fixed at the given values (values indexed by variable, entry k
@@ -225,13 +221,20 @@ class Polynomial:
 
     @classmethod
     def from_payload(cls, payload):
-        d = int(payload["d"])
+        """Inverse of to_payload; DomainError if the payload is not a
+        {"d": int, "terms": [[e_1, ..., e_d, re, im], ...]} object."""
+        if not isinstance(payload, dict):
+            raise DomainError("polynomial payload must be a JSON object")
+        d, terms = payload.get("d"), payload.get("terms")
+        if not isinstance(d, int) or not isinstance(terms, list):
+            raise DomainError("polynomial payload needs an integer d and a terms list")
         coeffs = {}
-        for row in payload["terms"]:
-            if len(row) != d + 2:
-                raise DomainError(f"bad term row of length {len(row)}")
-            expo = tuple(int(a) for a in row[:d])
-            coeffs[expo] = complex(row[d], row[d + 1])
+        for row in terms:
+            if not (isinstance(row, list) and len(row) == d + 2
+                    and all(isinstance(a, int) for a in row[:d])
+                    and all(isinstance(x, (int, float)) for x in row[d:])):
+                raise DomainError(f"bad term row {row!r}")
+            coeffs[tuple(row[:d])] = complex(row[d], row[d + 1])
         return cls(d, coeffs)
 
     def __repr__(self):
@@ -273,35 +276,12 @@ def _coefficient_stack(polys):
     return C
 
 
-def _coefficient_tensor(p):
-    return _coefficient_stack([p])[0]
-
-
 def effective_torus_grid(d):
     """Per-axis grid size after capping the total point count."""
     grid = TORUS_GRID
     while grid ** d > TORUS_GRID_CAP and grid > 16:
         grid //= 2
     return grid
-
-
-def torus_grid_values(p):
-    """|p| on the grid of grid-th roots of unity in each coordinate.
-
-    Applies an inverse FFT per axis to the coefficient tensor zero-padded
-    to grid^d, which evaluates sum c_a exp(i a . theta) exactly on the
-    grid.  The axes go last to first, as in np.fft.ifftn, and each is
-    padded only as it is transformed, so the all-zero rows of the padded
-    tensor are never transformed; the result is ifftn's, bit for bit.
-    """
-    grid = effective_torus_grid(p.d)
-    C = _coefficient_tensor(p)
-    if any(s > grid for s in C.shape):
-        raise DomainError("grid too coarse for the polynomial degree")
-    vals = C
-    for axis in reversed(range(p.d)):
-        vals = np.fft.ifft(vals, n=grid, axis=axis)
-    return np.abs(vals * grid ** p.d), grid
 
 
 def _phases(angles, width):
@@ -312,12 +292,12 @@ def _phases(angles, width):
 def _local_grid_values(C, at_centre, at_offset):
     """Values of polynomials on a local tensor grid around every window.
 
-    C is the coefficient tensor of one polynomial, shared by all windows
-    (see _coefficient_tensor), or a stack of them, one per window (see
-    _coefficient_stack).  at_centre = _phases(thetas, w) holds the (c, d)
-    window centres and at_offset = _phases(offsets, w) the (c, P) or (P,)
-    angle offsets taken along every axis, with w at least the largest
-    axis of C.  Returns the complex values at
+    C is the coefficient tensor of one polynomial, shared by all windows,
+    or a stack of them, one per window (see _coefficient_stack).
+    at_centre = _phases(thetas, w) holds the (c, d) window centres and
+    at_offset = _phases(offsets, w) the (c, P) or (P,) angle offsets
+    taken along every axis, with w at least the largest axis of C.
+    Returns the complex values at
     thetas[c] + (offsets[c, i_0], ..., offsets[c, i_{d-1}]) as a
     (c, P, ..., P) array.  Axis k contributes the table
     E_k[c, i, a] = exp(i a thetas[c, k]) * exp(i a offsets[c, i]),
@@ -346,8 +326,10 @@ def sup_on_torus(p):
     polynomial gives 0.0 and a one-term polynomial c z^a, of constant
     modulus on the torus, gives |c| exactly, neither with a grid.
 
-    For every other polynomial an FFT grid scan picks its
-    REFINE_CANDIDATES best grid points, the centres of its windows.
+    For every other polynomial a scan of the grid of grid-th roots of
+    unity in each coordinate (_grid_candidates, one window of the kernel
+    below) picks its REFINE_CANDIDATES best grid points, the centres of
+    its windows.
     Each round then evaluates a REFINE_POINTS^d local grid in every
     window of the batch (_local_grid_values, on the coefficient tensors
     zero-padded to one shape, at most REFINE_BLOCK local grid points per
@@ -394,14 +376,21 @@ def sup_on_torus(p):
 
 
 def _grid_candidates(p):
-    """The REFINE_CANDIDATES best points of p's FFT grid, as (c, d)
-    angles, and the largest grid value."""
-    absvals, grid = torus_grid_values(p)
-    flat = absvals.ravel()
+    """The REFINE_CANDIDATES best points of |p| on the grid of grid-th
+    roots of unity in each coordinate, as (c, d) angles, and the largest
+    grid value.  The grid is one window of _local_grid_values, centred
+    at theta = 0, whose offsets along every axis are the grid angles."""
+    grid = effective_torus_grid(p.d)
+    C = _coefficient_stack([p])
+    width = max(C.shape[1:])
+    angles = np.arange(grid) * (2.0 * np.pi / grid)
+    window = _phases(np.zeros((1, p.d)), width), _phases(angles, width)
+    # no name holds the complex grid, so it is freed once |p| is taken
+    flat = np.abs(_local_grid_values(C, *window)).ravel()
     take = min(REFINE_CANDIDATES, flat.size)
     idx = np.argpartition(flat, flat.size - take)[-take:]
-    centers = np.stack(np.unravel_index(idx, absvals.shape), axis=1)
-    return centers.astype(float) * (2.0 * np.pi / grid), float(flat[idx].max())
+    centers = np.stack(np.unravel_index(idx, (grid,) * p.d), axis=1)
+    return angles[centers], float(flat[idx].max())
 
 
 def _refined_suprema(polys):

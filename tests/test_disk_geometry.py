@@ -75,11 +75,6 @@ class TestDomainChecks:
             check_disk_point(np.exp(0.77j))
         assert check_disk_point(0.999999) == 0.999999
 
-    def test_closed_variant(self):
-        assert check_disk_point(1.0, closed=True) == 1.0
-        with pytest.raises(DomainError):
-            check_disk_point(1.0 + 1e-6, closed=True)
-
     def test_poly_point_dimension(self):
         assert check_poly_point((0.1, 0.2j), d=2) == (0.1 + 0j, 0.2j)
         with pytest.raises(DimensionMismatchError):

@@ -196,11 +196,11 @@ class TestExg1Reproduce:
 
 class TestExtensionVsVN:
     def test_consistent_on_polynomial_graph(self):
-        gen = Polynomial(3, {(0, 0, 1): 1.0, (1, 1, 0): -0.5})
+        # nodes on the graph z3 = z1 z2 / 2
         nodes = ((0.0, 0.0, 0.0), (0.5, 0.5, 0.125), (0.6, -0.4, -0.12))
         data = PolyPickData(d=3, nodes=nodes,
                             targets=tuple(p[2] for p in nodes))
-        rep = extension_vs_vn(data, variety=(gen,))
+        rep = extension_vs_vn(data)
         assert rep.verdict == "extension_consistent"
         assert rep.norm <= 1.0 + 1e-4
         assert rep.decomposition is not None
@@ -220,16 +220,12 @@ class TestExtensionVsVN:
 
     def test_scaled_candidate_violates(self, report09):
         base = report09.data
-        f_values = tuple(1.05 * w for w in base.targets)
-        rep = extension_vs_vn(base, f_values=f_values, variety=builtin_v0())
+        scaled = PolyPickData(d=base.d, nodes=base.nodes,
+                              targets=tuple(1.05 * w for w in base.targets))
+        rep = extension_vs_vn(scaled)
         assert rep.verdict == "von_neumann_violation"
         assert rep.norm == pytest.approx(1.05, abs=1e-3)
         assert rep.witness.f_norm > 1.0 + 1e-6
-
-    def test_node_off_variety_rejected(self):
-        data = PolyPickData(d=3, nodes=((0.1, 0.2, 0.9),), targets=(0.1,))
-        with pytest.raises(DomainError):
-            extension_vs_vn(data, variety=builtin_v0())
 
     def test_verdicts_mutually_exclusive(self, report09):
         for rep in (

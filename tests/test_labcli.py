@@ -359,6 +359,67 @@ class TestExperiments:
                      "--out-dir", str(tmp_path)]) == 1
 
 
+POLY_NODES = [[[0.0, 0.0], [0.0, 0.0]], [[0.5, 0.0], [0.5, 0.0]]]
+PAIR_TARGETS = [[0.0, 0.0], [0.25, 0.0]]
+
+
+class TestMalformedInput:
+    # problem: the (kind, payload[, seed]) of the file written to {file}
+    @pytest.mark.parametrize("argv, problem", [
+        pytest.param(["pick-solve", "{file}"],
+                     ("poly_pick", {"nodes": [0.1, 0.2], "targets": PAIR_TARGETS}),
+                     id="flat-poly-nodes"),
+        pytest.param(["pick-solve", "{file}"],
+                     ("poly_pick", {"d": "two", "nodes": POLY_NODES,
+                                    "targets": PAIR_TARGETS}),
+                     id="string-d"),
+        pytest.param(["pick-solve", "{file}"],
+                     ("disk_pick", {"nodes": 5, "targets": PAIR_TARGETS}),
+                     id="scalar-disk-nodes"),
+        pytest.param(["pick-solve", "{file}"],
+                     ("disk_pick", {"nodes": [[0.0, 0.0], [0.5, 0.0]],
+                                    "targets": PAIR_TARGETS,
+                                    "derivative_constraints": [[0]]}),
+                     id="short-derivative-pair"),
+        pytest.param(["pick-solve", "{file}"],
+                     ("disk_pick", {"nodes": [["a", 0.0], [0.5, 0.0]],
+                                    "targets": PAIR_TARGETS}),
+                     id="string-coordinate"),
+        pytest.param(["variety", "sample", "{file}"],
+                     ("variety", {"generators": [{"terms": V0_GENERATOR["terms"]}]}),
+                     id="generator-without-d"),
+        pytest.param(["variety", "sample", "{file}"],
+                     ("variety", {"generators": [{"d": 3,
+                                                  "terms": [["a", 0, 1, 1.0, 0.0]]}]}),
+                     id="string-exponent"),
+        pytest.param(["variety", "sample", "{file}"], ("variety", {"generators": "x"}),
+                     id="string-generators"),
+        pytest.param(["variety", "sample", "{file}"],
+                     ("variety", {"generators": [V0_GENERATOR]}, -1),
+                     id="negative-file-seed"),
+        pytest.param(["pick-solve", "{tmp}"], None, id="directory"),
+        pytest.param(["variety", "sample", "builtin:v0", "--resolution", "-5"], None,
+                     id="negative-resolution"),
+        pytest.param(["variety", "graph", "builtin:v0", "--resolution", "0"], None,
+                     id="zero-resolution"),
+        pytest.param(["variety", "sample", "builtin:v0", "--seed", "-1"], None,
+                     id="negative-seed"),
+        pytest.param(["experiment", "uniqueness-fit", "--alpha", "0.2", "--beta", "0.4i",
+                      "--gamma", "-0.3", "--samples", "0", "--out-dir", "{tmp}"], None,
+                     id="zero-samples"),
+    ])
+    def test_exits_1_with_an_error_line(self, argv, problem, tmp_path, capsys):
+        # no traceback: main returns 1 in process and says why on stderr
+        path = tmp_path / "problem.json"
+        if problem is not None:
+            write_problem(path, *problem)
+        argv = [a.format(file=path, tmp=tmp_path) for a in argv]
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error:")
+        assert captured.out == ""
+
+
 class TestParserBehavior:
     def test_no_arguments_is_input_error(self):
         assert main([]) == 1

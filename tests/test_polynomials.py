@@ -16,17 +16,40 @@ from polydisklab.polynomials import (
     REFINE_POINTS,
     REFINE_SHRINK,
     REFINE_STAGES,
-    _coefficient_tensor,
+    _coefficient_stack,
+    _grid_candidates,
     _local_grid_values,
     _phases,
     effective_torus_grid,
     monomial,
-    torus_grid_values,
 )
 
 
 def _l1(p):
     return sum(abs(c) for c in p.coeffs.values())
+
+
+def _ifftn_grid(p):
+    """Oracle for the grid scan: |p| on the grid of grid-th roots of unity
+    in each coordinate, from the padded coefficient tensor by ifftn."""
+    grid = effective_torus_grid(p.d)
+    C = _coefficient_stack([p])[0]
+    pad = np.zeros((grid,) * p.d, dtype=complex)
+    pad[tuple(slice(0, s) for s in C.shape)] = C
+    return np.abs(np.fft.ifftn(pad) * grid ** p.d), grid
+
+
+def _kernel_grid(p):
+    """The grid values of _grid_candidates: one window of the local grid
+    kernel, centred at theta = 0, with the grid angles as offsets."""
+    grid = effective_torus_grid(p.d)
+    C = _coefficient_stack([p])
+    width = max(C.shape[1:])
+    angles = np.arange(grid) * (2.0 * np.pi / grid)
+    vals = _local_grid_values(
+        C, _phases(np.zeros((1, p.d)), width), _phases(angles, width)
+    )
+    return np.abs(vals[0]), grid
 
 
 class TestPolynomialBasics:
@@ -139,15 +162,19 @@ class TestTorusSup:
     @pytest.mark.parametrize("d, degree", [(1, 12), (2, 6), (3, 2), (4, 3), (5, 2)])
     def test_grid_values_match_padded_ifftn(self, d, degree):
         p = random_polynomial(np.random.default_rng(d), d, degree)
-        vals, grid = torus_grid_values(p)
-        C = _coefficient_tensor(p)
-        pad = np.zeros((grid,) * d, dtype=complex)
-        pad[tuple(slice(0, s) for s in C.shape)] = C
-        assert np.array_equal(vals, np.abs(np.fft.ifftn(pad) * grid ** d))
+        vals, grid = _kernel_grid(p)
+        want, _grid = _ifftn_grid(p)
+        assert np.abs(vals - want).max() <= 1e-13 * _l1(p)
+        # the candidates are the oracle's best grid points
+        thetas, best = _grid_candidates(p)
+        got = {tuple(k) for k in np.rint(thetas * grid / (2.0 * np.pi)).astype(int)}
+        top = np.argsort(want.ravel())[-REFINE_CANDIDATES:]
+        assert got == set(zip(*np.unravel_index(top, want.shape)))
+        assert abs(best - want.max()) <= 1e-13 * _l1(p)
 
     def test_grid_values_shape(self):
         p = Polynomial(2, {(1, 0): 1.0})
-        vals, grid = torus_grid_values(p)
+        vals, grid = _kernel_grid(p)
         assert vals.shape == (grid, grid)
         assert np.allclose(vals, 1.0, atol=1e-12)
 
@@ -157,7 +184,7 @@ class TestLocalGridKernel:
     at the same points."""
 
     def _grid(self, p, thetas, offsets):
-        C = _coefficient_tensor(p)
+        C = _coefficient_stack([p])[0]
         width = max(C.shape)
         return _local_grid_values(
             C, _phases(thetas, width), _phases(offsets, width)
@@ -221,14 +248,10 @@ def _unmerged_sup(p):
     windows are refined side by side, and the loop runs until all
     windows have shrunk REFINE_STAGES times or 2 * REFINE_STAGES rounds
     have passed."""
-    absvals, grid = torus_grid_values(p)
-    flat = absvals.ravel()
-    take = min(REFINE_CANDIDATES, flat.size)
-    idx = np.argpartition(flat, flat.size - take)[-take:]
-    centers = np.stack(np.unravel_index(idx, absvals.shape), axis=1)
-    thetas = centers.astype(float) * (2.0 * np.pi / grid)
-    best = float(flat[idx].max())
-    C = _coefficient_tensor(p)
+    thetas, best = _grid_candidates(p)
+    grid = effective_torus_grid(p.d)
+    take = len(thetas)
+    C = _coefficient_stack([p])[0]
     width = max(C.shape)
     offsets = np.linspace(-1.0, 1.0, REFINE_POINTS)
     strides = REFINE_POINTS ** np.arange(p.d - 1, -1, -1)
@@ -293,7 +316,7 @@ class TestBatchedSupremum:
         rng = np.random.default_rng(5)
         polys = [random_polynomial(rng, 2, 4) if i % 2 else _transfer_taylor(rng, 2, 4)
                  for i in range(200)]
-        assert {_coefficient_tensor(p).shape for p in polys} == {(5, 5)}
+        assert {_coefficient_stack([p]).shape for p in polys} == {(1, 5, 5)}
         assert np.array_equal(sup_on_torus(polys), [sup_on_torus(p) for p in polys])
 
     def test_mixed_variable_counts_rejected(self):
@@ -328,7 +351,7 @@ def _certified_bracket(p, grid, rtol=1e-9, max_boxes=200_000):
     bracket is exact up to rounding of order 1e-15 relative.
     """
     d = p.d
-    C = _coefficient_tensor(p)
+    C = _coefficient_stack([p])[0]
     spread = float(sum(C.shape) - d)
     U2 = float(np.abs(C).sum()) ** 2
     pad = np.zeros((1 + d,) + (grid,) * d, dtype=complex)
@@ -394,7 +417,7 @@ class TestCertifiedSupremum:
         rng = np.random.default_rng(5)
         for _ in range(index + 1):
             p = _sample_test_polynomial(rng, 2, VN_MAX_DEGREE)
-        absvals, _grid = torus_grid_values(p)
+        absvals, _grid = _ifftn_grid(p)
         assert np.all(np.abs(np.percentile(absvals, [25, 75]) - 1.0) < 0.07)
         self._check(p, 128)
 
