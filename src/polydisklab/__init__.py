@@ -58,6 +58,7 @@ from .experiments import (
     Exg1Report,
     ExtensionVNReport,
     circle_image_test,
+    exg1_data,
     exg1_extremal_candidate,
     exg1_reproduce,
     extension_vs_vn,

@@ -26,6 +26,7 @@ the minimal one stays undecided.
 
 from __future__ import annotations
 
+import cmath
 import dataclasses
 
 import numpy as np
@@ -73,6 +74,8 @@ class PolyPickData:
         d = int(self.d)
         nodes = tuple(check_poly_point(p, d=d) for p in self.nodes)
         targets = tuple(complex(w) for w in self.targets)
+        if not all(map(cmath.isfinite, targets)):
+            raise DomainError("targets must be finite")
         if len(nodes) != len(targets):
             raise DomainError("need one target per node")
         if len(nodes) == 0:

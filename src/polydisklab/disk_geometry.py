@@ -25,9 +25,9 @@ DEFAULT_TOL = 1e-9
 def check_disk_point(z):
     """Validate membership in the open unit disk and return ``z`` as a
     complex; points with 1 - |z| < BOUNDARY_TOL are rejected as interior
-    points."""
+    points, and so is NaN."""
     z = complex(z)
-    if 1.0 - abs(z) < BOUNDARY_TOL:
+    if not 1.0 - abs(z) >= BOUNDARY_TOL:
         raise DomainError(f"point {z} is not interior to the unit disk")
     return z
 

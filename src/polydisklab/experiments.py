@@ -5,6 +5,12 @@ pseudo-hyperbolic contraction witness, a 3-point interpolation problem
 of norm 1, and the arc of the unit circle omitted by the extremal
 solution on the closure of the variety), the extension-versus-von
 Neumann pipeline, and the circle-image test for extremal candidates.
+
+The witness pair is in closed form.  On (m, 1), g = 1 + phi_m maps into
+(0, 1), and with alpha = (1 - zeta) / (1 - m), beta = (1 - xi) / (1 - m),
+rho(g(zeta), g(xi)) < rho(zeta, xi) holds exactly when
+alpha + beta + m (2 + m) alpha beta < 1.  exg1_data takes alpha = 1 / (2 + m)
+and beta = alpha / 2, where the left side is (3 + m) / (2 (2 + m)) < 1.
 """
 
 from __future__ import annotations
@@ -17,12 +23,10 @@ import numpy as np
 from . import variety as variety_mod
 from .agler import PolyPickData, agler_feasible, schur_agler_norm
 from .disk_geometry import pseudo_hyperbolic
-from .errors import DomainError, ResolutionExhaustedError
+from .errors import DomainError
 from .operators import violation_witness
 from .polynomials import Polynomial
 
-WITNESS_SLACK_MIN = 1e-6
-DEFAULT_RESOLUTION = 2000
 SHELL_EXPONENTS = (2, 3, 4, 5, 6)
 ARC_GRID = 4096
 ARC_ETA = 1e-3
@@ -95,16 +99,21 @@ def _mobius_m(m):
     return phi
 
 
+def _real_m(m):
+    """m as a float, if it is a real number strictly between 0 and 1."""
+    m = complex(m)
+    if abs(m.imag) > 1e-12 or not 0.0 < m.real < 1.0:
+        raise DomainError("m must be a real number strictly between 0 and 1")
+    return m.real
+
+
 def exg1_extremal_candidate(m):
     """The candidate F(z) = (z1 phi_m(z1) + z2) / 2 as a vectorized map.
 
-    On the plane z3 = z1 + z2 it interpolates the data exg1_reproduce
-    assembles and has modulus at most 1 on the closed polydisk.
+    On the plane z3 = z1 + z2 it interpolates exg1_data(m) and has
+    modulus at most 1 on the closed polydisk.
     """
-    m = float(m)
-    if not 0.0 < m < 1.0:
-        raise DomainError("m must lie strictly between 0 and 1")
-    phi = _mobius_m(m)
+    phi = _mobius_m(_real_m(m))
 
     def F(points):
         pts = np.asarray(points, dtype=complex)
@@ -113,66 +122,43 @@ def exg1_extremal_candidate(m):
     return F
 
 
-def exg1_reproduce(m, search_resolution=DEFAULT_RESOLUTION):
+def exg1_data(m):
+    """The 3-point problem on the plane z3 = z1 + z2 for 0 < m < 1.
+
+    Nodes 0 and (x, x phi_m(x), x (1 + phi_m(x))) with targets 0 and
+    x phi_m(x), for x = zeta = (1 + 2m) / (2 + m) and
+    x = xi = (3 + 3m) / (4 + 2m), the closed-form contraction pair of the
+    module docstring.
+    """
+    m = _real_m(m)
+    phi = _mobius_m(m)
+    zeta = (1.0 + 2.0 * m) / (2.0 + m)
+    xi = (3.0 + 3.0 * m) / (4.0 + 2.0 * m)
+    nodes = ((0.0, 0.0, 0.0),) + tuple(
+        (x, x * phi(x), x * (1.0 + phi(x))) for x in (zeta, xi)
+    )
+    targets = (0.0,) + tuple(x * phi(x) for x in (zeta, xi))
+    return PolyPickData(d=3, nodes=nodes, targets=targets)
+
+
+def exg1_reproduce(m):
     """Reproduce the non-extension argument for the plane z3 = z1 + z2.
 
-    Searches real zeta, xi in (0, 1) whose induced pair contracts the
-    pseudo-hyperbolic distance (a norm-1 extension of the second
-    coordinate off the plane would forbid that), certifies the 3-point
-    interpolation problem has norm 1 to SDP scale, and measures the arc
-    of the circle omitted by F = (z1 phi_m(z1) + z2) / 2 on the sampled
-    closure of the plane.
+    Reads the pair zeta = (1 + 2m) / (2 + m) < xi = (3 + 3m) / (4 + 2m)
+    from exg1_data(m): its images under g = 1 + phi_m are closer in the
+    pseudo-hyperbolic metric than zeta and xi are, since the criterion
+    of the module docstring reads (3 + m) / (2 (2 + m)) < 1 there (a
+    norm-1 extension of the second coordinate off the plane would forbid
+    that).  Certifies that the 3-point interpolation problem has norm 1
+    to SDP scale, and measures the arc of the circle omitted by
+    F = (z1 phi_m(z1) + z2) / 2 on the sampled closure of the plane.
     """
-    m = complex(m)
-    if abs(m.imag) > 1e-12:
-        raise DomainError("m must be real")
-    m = float(m.real)
-    if not 0.0 < m < 1.0:
-        raise DomainError("m must lie strictly between 0 and 1")
-    resolution = int(search_resolution)
-    if resolution < 2:
-        raise DomainError("search_resolution must be at least 2")
+    m = _real_m(m)
     phi = _mobius_m(m)
-
-    xs = np.linspace(0.0, 1.0, resolution + 2)[1:-1]
-    g = 1.0 + phi(xs)
-    ok = (np.abs(g) < 1.0 - 1e-12) & (np.abs(xs * g) < 1.0 - 1e-12)
-    xs_ok, g_ok = xs[ok], g[ok]
-    best_slack = -np.inf
-    pair = None
-    if len(xs_ok) >= 2:
-        src = np.abs(xs_ok[:, None] - xs_ok[None, :]) / np.abs(
-            1.0 - xs_ok[None, :] * xs_ok[:, None]
-        )
-        img = np.abs(g_ok[:, None] - g_ok[None, :]) / np.abs(
-            1.0 - np.conj(g_ok[None, :]) * g_ok[:, None]
-        )
-        slack = src - img
-        np.fill_diagonal(slack, -np.inf)
-        i, j = np.unravel_index(int(np.argmax(slack)), slack.shape)
-        best_slack = float(slack[i, j])
-        pair = (min(xs_ok[i], xs_ok[j]), max(xs_ok[i], xs_ok[j]))
-    if pair is None or best_slack < WITNESS_SLACK_MIN:
-        raise ResolutionExhaustedError(
-            "no contraction witness at this resolution",
-            diagnostics={
-                "best_slack": best_slack,
-                "admissible_points": int(len(xs_ok)),
-                "resolution": resolution,
-                "suggestion": "increase search_resolution or move m closer to 1",
-            },
-        )
-    zeta, xi = pair
+    data = exg1_data(m)
+    zeta, xi = (p[0].real for p in data.nodes[1:])
     lhs = pseudo_hyperbolic(complex(1.0 + phi(zeta)), complex(1.0 + phi(xi)))
     rhs = pseudo_hyperbolic(complex(zeta), complex(xi))
-
-    nodes = (
-        (0.0, 0.0, 0.0),
-        (zeta, zeta * phi(zeta), zeta * (1.0 + phi(zeta))),
-        (xi, xi * phi(xi), xi * (1.0 + phi(xi))),
-    )
-    targets = (0.0, zeta * phi(zeta), xi * phi(xi))
-    data = PolyPickData(d=3, nodes=nodes, targets=targets)
     norm = schur_agler_norm(data)
 
     candidate = exg1_extremal_candidate(m)
@@ -197,8 +183,8 @@ def exg1_reproduce(m, search_resolution=DEFAULT_RESOLUTION):
     )
     return Exg1Report(
         m=m,
-        zeta=float(zeta),
-        xi=float(xi),
+        zeta=zeta,
+        xi=xi,
         eq_ex_lhs=float(lhs),
         eq_ex_rhs=float(rhs),
         sa_norm=float(norm),

@@ -8,13 +8,14 @@ or human-readable text.  Exit codes are a stable contract:
     1  input error (bad file, bad flag, out-of-domain parameter)
     2  solver undecided
     3  degenerate geometry
-    4  witness search exhausted
+    4  retired (was: witness search exhausted); never reused
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 
@@ -33,11 +34,11 @@ from .errors import (
     DegenerateDataError,
     InfeasibleConstraintsError,
     PolydiskLabError,
-    ResolutionExhaustedError,
     UndecidedError,
 )
 from .experiments import (
     circle_image_test,
+    exg1_data,
     exg1_extremal_candidate,
     exg1_reproduce,
     extension_vs_vn,
@@ -57,7 +58,6 @@ EXIT_OK = 0
 EXIT_INPUT = 1
 EXIT_UNDECIDED = 2
 EXIT_DEGENERATE = 3
-EXIT_EXHAUSTED = 4
 
 PROBLEM_VERSION = 1
 PROBLEM_KINDS = ("disk_pick", "poly_pick", "variety")
@@ -102,6 +102,22 @@ def _int_at_least(least):
             raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}")
         if value < least:
             raise argparse.ArgumentTypeError(f"must be at least {least}, got {value}")
+        return value
+
+    return parse
+
+
+def _finite_float(least=-math.inf, below=math.inf):
+    """An argparse type for a finite float flag in [least, below)."""
+
+    def parse(text):
+        try:
+            value = float(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"expected a number, got {text!r}")
+        if not (math.isfinite(value) and least <= value < below):
+            raise argparse.ArgumentTypeError(
+                f"must be finite and in [{least}, {below}), got {text!r}")
         return value
 
     return parse
@@ -437,9 +453,7 @@ def cmd_experiment(args):
     if name == "exg1":
         if args.m is None:
             raise _UsageError("exg1 requires --m")
-        rep = exg1_reproduce(
-            parse_complex(args.m), search_resolution=_given(args.resolution, 2000)
-        )
+        rep = exg1_reproduce(parse_complex(args.m))
         result = {
             "experiment": "exg1",
             "m": rep.m,
@@ -475,15 +489,10 @@ def cmd_experiment(args):
                 raise _UsageError("ext-vs-vn expects a poly_pick problem file")
             data = _decode_poly_pick(prob["payload"])
         elif args.m is not None:
-            base = exg1_reproduce(
-                parse_complex(args.m), search_resolution=_given(args.resolution, 2000)
-            )
+            base = exg1_data(parse_complex(args.m))
             scale = _given(args.scale, 1.0)
-            data = PolyPickData(
-                d=base.data.d,
-                nodes=base.data.nodes,
-                targets=tuple(scale * complex(w) for w in base.data.targets),
-            )
+            data = PolyPickData(d=base.d, nodes=base.nodes,
+                                targets=tuple(scale * w for w in base.targets))
         else:
             raise _UsageError("ext-vs-vn needs a problem file or --m")
         rep = extension_vs_vn(data)
@@ -512,13 +521,13 @@ def cmd_experiment(args):
         source = args.input or "builtin:v0"
         gens, seed = resolve_variety(source, args)
         m = parse_complex(args.m) if args.m is not None else 0.9
-        base = exg1_reproduce(m, search_resolution=_given(args.resolution, 2000))
-        phi = exg1_extremal_candidate(base.m)
-        res = circle_image_test(gens, phi, base.data, seed=seed)
+        data = exg1_data(m)
+        phi = exg1_extremal_candidate(m)
+        res = circle_image_test(gens, phi, data, seed=seed)
         result = {
             "experiment": "circle-image",
             "variety": source,
-            "m": base.m,
+            "m": m.real,
             "is_extremal_evidence": res.is_extremal_evidence,
             "omitted_arc": res.omitted_arc,
             "statement": res.statement,
@@ -582,7 +591,6 @@ def build_parser():
     def seeded(p):
         p.add_argument("--seed", type=_int_at_least(0), default=None,
                        help="overrides the problem file's seed")
-        p.add_argument("--resolution", type=_int_at_least(1), default=None)
 
     p_pick = sub.add_parser("pick-solve", help="solve a disk or polydisk problem")
     p_pick.add_argument("input", help="problem file (kind disk_pick or poly_pick)")
@@ -596,9 +604,10 @@ def build_parser():
     p_var.add_argument("input", help="variety problem file or builtin:<name>")
     outputs(p_var)
     seeded(p_var)
-    p_var.add_argument("--tol", type=float, default=None)
+    p_var.add_argument("--resolution", type=_int_at_least(1), default=None)
+    p_var.add_argument("--tol", type=_finite_float(0.0), default=None)
     p_var.add_argument("--pair", type=parse_pair, default=None)
-    p_var.add_argument("--margin", type=float, default=None)
+    p_var.add_argument("--margin", type=_finite_float(0.0, 1.0), default=None)
     p_var.add_argument("--A", type=parse_complex, default=None)
     p_var.add_argument("--B", type=parse_complex, default=None)
     p_var.add_argument("--omega", type=parse_complex, default=None)
@@ -614,7 +623,7 @@ def build_parser():
     seeded(p_exp)
     p_exp.add_argument("--out-dir", default=None)
     p_exp.add_argument("--m", default=None)
-    p_exp.add_argument("--scale", type=float, default=None)
+    p_exp.add_argument("--scale", type=_finite_float(), default=None)
     p_exp.add_argument("--alpha", default=None)
     p_exp.add_argument("--beta", default=None)
     p_exp.add_argument("--gamma", default=None)
@@ -634,11 +643,6 @@ def main(argv=None):
     except (_UsageError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    except ResolutionExhaustedError as exc:
-        print(f"search exhausted: {exc}", file=sys.stderr)
-        if exc.diagnostics:
-            print(ser.dumps_canonical(exc.diagnostics), file=sys.stderr, end="")
-        return EXIT_EXHAUSTED
     except UndecidedError as exc:
         print(f"undecided: {exc}", file=sys.stderr)
         return EXIT_UNDECIDED

@@ -14,6 +14,7 @@ norm; its verdict uses the bracket's lower end.
 
 from __future__ import annotations
 
+import cmath
 import dataclasses
 
 import numpy as np
@@ -60,6 +61,8 @@ class DiskPickData:
     def __post_init__(self):
         nodes = tuple(check_disk_point(z) for z in self.nodes)
         targets = tuple(complex(w) for w in self.targets)
+        if not all(map(cmath.isfinite, targets)):
+            raise DomainError("targets must be finite")
         if len(nodes) != len(targets):
             raise DomainError("need one target per node")
         if len(nodes) == 0:
@@ -71,9 +74,11 @@ class DiskPickData:
         derivs = tuple(
             (int(i), complex(v)) for i, v in self.derivative_constraints
         )
-        for i, _ in derivs:
+        for i, v in derivs:
             if not 0 <= i < len(nodes):
                 raise DomainError(f"derivative constraint at bad index {i}")
+            if not cmath.isfinite(v):
+                raise DomainError("derivative values must be finite")
         object.__setattr__(self, "nodes", nodes)
         object.__setattr__(self, "targets", targets)
         object.__setattr__(self, "derivative_constraints", derivs)

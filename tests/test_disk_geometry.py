@@ -73,6 +73,8 @@ class TestDomainChecks:
             check_disk_point(1.0 - BOUNDARY_TOL / 2)
         with pytest.raises(DomainError):
             check_disk_point(np.exp(0.77j))
+        with pytest.raises(DomainError):
+            check_disk_point(float("nan"))
         assert check_disk_point(0.999999) == 0.999999
 
     def test_poly_point_dimension(self):

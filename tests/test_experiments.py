@@ -10,13 +10,17 @@ from polydisklab import (
     builtin_rational_inner_graph,
     builtin_v0,
     circle_image_test,
+    exg1_data,
     exg1_extremal_candidate,
     exg1_reproduce,
     extension_vs_vn,
     sample_variety,
+    schur_agler_norm,
 )
+from polydisklab import experiments, labcli
 from polydisklab.agler import CAVEAT_D3
-from polydisklab.errors import DomainError, ResolutionExhaustedError
+from polydisklab.disk_geometry import pseudo_hyperbolic
+from polydisklab.errors import DomainError
 from polydisklab.experiments import ARC_ETA, ARC_GRID, _omitted_arc
 
 CANONICAL = PolyPickData(d=2, nodes=((0.0, 0.0), (0.5, 0.5)), targets=(0.0, 0.7))
@@ -132,11 +136,11 @@ class TestExg1Reproduce:
 
     def test_frozen_witness_values(self, report09):
         r = report09
-        assert r.zeta == pytest.approx(0.993003, abs=1e-4)
-        assert r.xi == pytest.approx(0.999500, abs=1e-4)
-        assert r.eq_ex_lhs == pytest.approx(0.115743, abs=1e-4)
-        assert r.eq_ex_rhs == pytest.approx(0.867071, abs=1e-4)
-        assert r.slack == pytest.approx(0.751328, abs=1e-4)
+        assert r.zeta == pytest.approx(28 / 29, abs=1e-15)
+        assert r.xi == pytest.approx(57 / 58, abs=1e-15)
+        assert r.eq_ex_lhs == pytest.approx(0.252174, abs=1e-6)
+        assert r.eq_ex_rhs == pytest.approx(0.337209, abs=1e-6)
+        assert r.slack == pytest.approx(0.085035, abs=1e-6)
 
     def test_frozen_gap_value(self, report09):
         assert report09.circle_gap == pytest.approx(3.977612, abs=0.01)
@@ -169,29 +173,81 @@ class TestExg1Reproduce:
     def test_midpoint_near_one(self, report09):
         assert abs(np.angle(report09.gap_midpoint)) <= 0.05
 
-    def test_low_resolution_still_succeeds(self):
-        r = exg1_reproduce(0.5, search_resolution=50)
-        assert r.slack == pytest.approx(0.4643, abs=1e-3)
-        r9 = exg1_reproduce(0.9, search_resolution=50)
-        assert r9.slack == pytest.approx(0.0542, abs=1e-3)
-
-    def test_resolution_exhaustion_diagnostics(self):
-        with pytest.raises(ResolutionExhaustedError) as err:
-            exg1_reproduce(0.9, search_resolution=25)
-        diag = err.value.diagnostics
-        assert set(diag) >= {"best_slack", "admissible_points", "resolution",
-                             "suggestion"}
-        assert diag["resolution"] == 25
-        assert diag["best_slack"] < 1e-6
-
     def test_parameter_validation(self):
         for bad in (0.0, 1.0, -0.5, 1.5):
             with pytest.raises(DomainError):
                 exg1_reproduce(bad)
         with pytest.raises(DomainError):
             exg1_reproduce(0.5 + 0.1j)
-        with pytest.raises(DomainError):
-            exg1_reproduce(0.9, search_resolution=1)
+
+
+def _plane_data(m, zeta, xi):
+    """The 3-point exg1 problem at an arbitrary real pair zeta, xi."""
+    def phi(x):
+        return (m - x) / (1.0 - m * x)
+
+    nodes = ((0.0, 0.0, 0.0),) + tuple(
+        (x, x * phi(x), x * (1.0 + phi(x))) for x in (zeta, xi))
+    return PolyPickData(d=3, nodes=nodes,
+                        targets=(0.0,) + tuple(x * phi(x) for x in (zeta, xi)))
+
+
+class TestExg1ClosedForm:
+    def test_criterion_matches_pseudo_hyperbolic_distance(self):
+        # rho(g(zeta), g(xi)) < rho(zeta, xi), g = 1 + phi_m, exactly when
+        # alpha + beta + m (2 + m) alpha beta < 1
+        rng = np.random.default_rng(16)
+        for _ in range(5000):
+            m = rng.uniform(1e-3, 0.999)
+            zeta, xi = np.sort(rng.uniform(m, 1.0, size=2))
+            g_zeta, g_xi = ((1.0 + m) * (1.0 - x) / (1.0 - m * x) for x in (zeta, xi))
+            alpha, beta = (1.0 - zeta) / (1.0 - m), (1.0 - xi) / (1.0 - m)
+            contracts = pseudo_hyperbolic(g_zeta, g_xi) < pseudo_hyperbolic(zeta, xi)
+            assert contracts == (alpha + beta + m * (2 + m) * alpha * beta < 1)
+
+    def test_data_is_the_closed_form_pair(self):
+        for m in (0.3, 0.9):
+            data = exg1_data(m)
+            want = _plane_data(m, (1 + 2 * m) / (2 + m), (3 + 3 * m) / (4 + 2 * m))
+            assert data == want
+
+    @pytest.mark.parametrize("m", [1e-3, 0.05, 0.2, 0.35, 0.5, 0.65, 0.8, 0.9,
+                                   0.97, 0.999])
+    def test_witness_holds_across_m(self, m):
+        r = exg1_reproduce(m)
+        assert m < r.zeta < r.xi < 1.0
+        assert r.slack >= 0.08
+        assert r.verdict == "violation_detected"
+        assert 1.0 - 1e-7 <= r.sa_norm <= 1.0 + 1e-5
+
+    def test_pair_outside_the_criterion_has_norm_below_one(self):
+        # at m = 0.9, (0.95, 0.975) has slack -0.0195: no contraction, and
+        # the problem is solvable with room to spare
+        data = _plane_data(0.9, 0.95, 0.975)
+        (z1, _, z3), (x1, _, x3) = data.nodes[1:]
+        slack = pseudo_hyperbolic(z1, x1) - pseudo_hyperbolic(z3 / z1, x3 / x1)
+        assert slack == pytest.approx(-0.0195, abs=1e-4)
+        assert float(schur_agler_norm(data)) < 1.0 - 1e-3
+
+    @pytest.mark.parametrize("argv", [
+        ["experiment", "circle-image"],
+        ["experiment", "ext-vs-vn", "--m", "0.9"],
+    ])
+    def test_cli_builds_the_data_with_one_norm_solve(self, argv, monkeypatch,
+                                                     tmp_path, capsys):
+        calls = []
+
+        def counted(data):
+            calls.append(data)
+            return schur_agler_norm(data)
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("exg1_reproduce must not run")
+
+        monkeypatch.setattr(experiments, "schur_agler_norm", counted)
+        monkeypatch.setattr(labcli, "exg1_reproduce", forbidden)
+        assert labcli.main(argv + ["--out-dir", str(tmp_path)]) == 0
+        assert calls == [exg1_data(0.9)]
 
 
 class TestExtensionVsVN:

@@ -289,13 +289,6 @@ class TestExperiments:
         assert main(["experiment", "exg1", "--m", "0",
                      "--out-dir", str(tmp_path)]) == 1
 
-    def test_exg1_low_resolution_exhausts(self, tmp_path, capsys):
-        assert main(["experiment", "exg1", "--m", "0.9",
-                     "--resolution", "25", "--out-dir", str(tmp_path)]) == 4
-        err = capsys.readouterr().err
-        assert "search exhausted" in err
-        assert "suggestion" in err
-
     def test_uniqueness_fit(self, tmp_path, capsys):
         out_dir = tmp_path / "fit"
         assert main(["experiment", "uniqueness-fit", "--alpha", "0.2",
@@ -407,6 +400,39 @@ class TestMalformedInput:
         pytest.param(["experiment", "uniqueness-fit", "--alpha", "0.2", "--beta", "0.4i",
                       "--gamma", "-0.3", "--samples", "0", "--out-dir", "{tmp}"], None,
                      id="zero-samples"),
+        # json reads NaN and Infinity; no solver may see them
+        pytest.param(["pick-solve", "{file}"],
+                     ("poly_pick", {"nodes": POLY_NODES,
+                                    "targets": [[0.0, 0.0], [float("nan"), 0.0]]}),
+                     id="nan-poly-target"),
+        pytest.param(["pick-solve", "{file}"],
+                     ("disk_pick", {"nodes": [[0.0, 0.0], [0.5, 0.0]],
+                                    "targets": [[0.0, 0.0], [float("inf"), 0.0]]}),
+                     id="infinite-disk-target"),
+        pytest.param(["pick-solve", "{file}"],
+                     ("disk_pick", {"nodes": [[0.0, 0.0], [float("nan"), 0.0]],
+                                    "targets": PAIR_TARGETS}),
+                     id="nan-disk-node"),
+        pytest.param(["pick-solve", "{file}"],
+                     ("disk_pick", {"nodes": [[0.0, 0.0], [0.5, 0.0]],
+                                    "targets": PAIR_TARGETS,
+                                    "derivative_constraints":
+                                        [[0, [float("nan"), 0.0]]]}),
+                     id="nan-derivative-value"),
+        pytest.param(["experiment", "ext-vs-vn", "--m", "0.9", "--scale", "nan",
+                      "--out-dir", "{tmp}"], None, id="nan-scale"),
+        pytest.param(["experiment", "ext-vs-vn", "--m", "0.9", "--scale", "inf",
+                      "--out-dir", "{tmp}"], None, id="infinite-scale"),
+        pytest.param(["variety", "sample", "builtin:v0", "--tol", "-1",
+                      "--resolution", "5"], None, id="negative-sample-tol"),
+        pytest.param(["variety", "retract", "builtin:v0", "--margin", "-1"], None,
+                     id="negative-margin"),
+        pytest.param(["variety", "retract", "builtin:v0", "--margin", "2"], None,
+                     id="margin-above-one"),
+        pytest.param(["variety", "scan-balanced", "builtin:v0", "--tol", "nan"], None,
+                     id="nan-scan-tol"),
+        pytest.param(["variety", "scan-balanced", "builtin:v0", "--tol", "-1"], None,
+                     id="negative-scan-tol"),
     ])
     def test_exits_1_with_an_error_line(self, argv, problem, tmp_path, capsys):
         # no traceback: main returns 1 in process and says why on stderr
@@ -436,6 +462,7 @@ class TestParserBehavior:
         ["pick-solve", "{disk}", "--resolution", "10"],
         ["experiment", "exg1", "--m", "0.9", "--out", "{tmp}/r.json"],
         ["experiment", "exg1", "--m", "0.9", "--tol", "1e-6"],
+        ["experiment", "exg1", "--m", "0.9", "--resolution", "25"],
     ])
     def test_flag_a_command_does_not_read_is_input_error(self, argv, disk_problem,
                                                          tmp_path):
