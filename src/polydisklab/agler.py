@@ -72,6 +72,8 @@ class PolyPickData:
 
     def __post_init__(self):
         d = int(self.d)
+        if d < 1:
+            raise DomainError("need at least one coordinate")
         nodes = tuple(check_poly_point(p, d=d) for p in self.nodes)
         targets = tuple(complex(w) for w in self.targets)
         if not all(map(cmath.isfinite, targets)):

@@ -22,6 +22,7 @@ from .disk_geometry import (
     pseudo_hyperbolic,
 )
 from .errors import DegenerateDataError, DomainError, ResolutionExhaustedError
+from .polynomials import Polynomial, sup_on_torus
 
 # Default polar grid for find_balanced_pair_on_graph: angles x radii.
 WITNESS_GRID = (512, 256)
@@ -207,8 +208,7 @@ def _validate_graph_map(coeffs):
     coeffs = [complex(c) for c in coeffs]
     if coeffs and abs(coeffs[0]) > 1e-14:
         raise DomainError("graph map must satisfy g(0) = 0")
-    circle = np.exp(2j * np.pi * np.arange(4096) / 4096)
-    sup = np.max(np.abs(_poly_eval(coeffs, circle))) if coeffs else 0.0
+    sup = sup_on_torus(Polynomial(1, {(k,): c for k, c in enumerate(coeffs)}))
     if sup >= 1.0:
         raise DomainError(f"graph map is not a self-map of the disk (sup {sup:.6f})")
     return coeffs

@@ -11,6 +11,18 @@ The witness pair is in closed form.  On (m, 1), g = 1 + phi_m maps into
 rho(g(zeta), g(xi)) < rho(zeta, xi) holds exactly when
 alpha + beta + m (2 + m) alpha beta < 1.  exg1_data takes alpha = 1 / (2 + m)
 and beta = alpha / 2, where the left side is (3 + m) / (2 (2 + m)) < 1.
+
+The omitted arc is in closed form too.  On the closure of the plane in the
+closed tridisk, F = (z1 phi_m(z1) + z2) / 2 has |F| = 1 only where |z1| = 1,
+z2 = z1 phi_m(z1) and |z1 + z2| = |1 + phi_m(z1)| <= 1.  With u = phi_m(z1)
+(phi_m is an involution) the boundary image is
+{u phi_m(u) : |u| = 1, Re u <= -1/2}.  Along u = e^(i theta), theta in
+[2 pi / 3, 4 pi / 3], arg F grows at the rate
+1 + (1 - m^2) / |e^(i theta) - m|^2, so the image is an arc of length
+2 pi / 3 plus 2 pi times the harmonic measure of that arc at m, which is
+2 pi - 4 arctan(sqrt(3) (1 + m) / (1 - m)).  The omitted arc is the rest,
+4 arctan(sqrt(3) (1 + m) / (1 - m)) - 2 pi / 3, between 2 pi / 3 and
+4 pi / 3, and since m is real it is centred at 1 (u = -1 gives F = -1).
 """
 
 from __future__ import annotations
@@ -83,7 +95,6 @@ class Exg1Report:
     sa_caveat: str
     circle_gap: float
     verdict: str
-    shell_gaps: tuple
     gap_midpoint: complex
     data: PolyPickData
 
@@ -150,8 +161,9 @@ def exg1_reproduce(m):
     of the module docstring reads (3 + m) / (2 (2 + m)) < 1 there (a
     norm-1 extension of the second coordinate off the plane would forbid
     that).  Certifies that the 3-point interpolation problem has norm 1
-    to SDP scale, and measures the arc of the circle omitted by
-    F = (z1 phi_m(z1) + z2) / 2 on the sampled closure of the plane.
+    to SDP scale, and takes the arc of the circle omitted by
+    F = (z1 phi_m(z1) + z2) / 2 on the closure of the plane from the
+    closed form of the module docstring.
     """
     m = _real_m(m)
     phi = _mobius_m(m)
@@ -160,27 +172,8 @@ def exg1_reproduce(m):
     lhs = pseudo_hyperbolic(complex(1.0 + phi(zeta)), complex(1.0 + phi(xi)))
     rhs = pseudo_hyperbolic(complex(zeta), complex(xi))
     norm = schur_agler_norm(data)
-
-    candidate = exg1_extremal_candidate(m)
-    shell_gaps = []
-    union_samples = []
-    angles = 2.0 * np.pi * np.arange(512) / 512.0
-    for k in SHELL_EXPONENTS:
-        r = 1.0 - 10.0 ** (-k)
-        z1 = r * np.exp(1j * angles)
-        z2 = r * np.exp(1j * (angles + np.pi / 512.0))
-        Z = np.stack(np.meshgrid(z1, z2, indexing="ij", copy=False), axis=-1)
-        F = candidate(Z[np.abs(Z[..., 0] + Z[..., 1]) <= 1.0])
-        gap_k, _, _ = _omitted_arc(F)
-        shell_gaps.append((k, gap_k))
-        union_samples.append(F)
-    gap, midpoint, _ = _omitted_arc(np.concatenate(union_samples))
-
-    verdict = (
-        "violation_detected"
-        if float(norm) >= 1.0 - 1e-3 and gap > 0.0
-        else "inconclusive"
-    )
+    gap = 4.0 * np.arctan(np.sqrt(3.0) * (1.0 + m) / (1.0 - m)) - 2.0 * np.pi / 3
+    verdict = "violation_detected" if float(norm) >= 1.0 - 1e-3 else "inconclusive"
     return Exg1Report(
         m=m,
         zeta=zeta,
@@ -191,8 +184,7 @@ def exg1_reproduce(m):
         sa_caveat=norm.caveat_flag,
         circle_gap=float(gap),
         verdict=verdict,
-        shell_gaps=tuple(shell_gaps),
-        gap_midpoint=midpoint,
+        gap_midpoint=complex(1.0),
         data=data,
     )
 

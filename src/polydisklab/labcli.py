@@ -466,7 +466,6 @@ def cmd_experiment(args):
             "caveat_flag": rep.sa_caveat,
             "circle_gap": rep.circle_gap,
             "gap_midpoint": rep.gap_midpoint,
-            "shell_gaps": [[k, g] for k, g in rep.shell_gaps],
             "verdict": rep.verdict,
             "data": _encode_poly_data(rep.data),
         }
@@ -476,7 +475,7 @@ def cmd_experiment(args):
             f"distance of images {rep.eq_ex_lhs:.6f} < distance of sources "
             f"{rep.eq_ex_rhs:.6f} (slack {rep.slack:.6f})",
             f"3-point interpolation norm: {rep.sa_norm:.8f} ({rep.sa_caveat})",
-            f"omitted circle arc: {rep.circle_gap:.4f} rad, centered near "
+            f"omitted circle arc: {rep.circle_gap:.4f} rad, centered at "
             f"{rep.gap_midpoint:.4f}",
             f"verdict: {rep.verdict}",
         ]

@@ -176,6 +176,8 @@ def sample_variety(generators, count=200, seed=0, tol=RESIDUAL_TOL):
     stated tolerance, independently of the root-finder.
     """
     gens, d = _check_generators(generators)
+    if count < 1:
+        raise DomainError("count must be at least 1")
     k = next(
         (j for j in range(d) if any(g.degree_in(j) > 0 for g in gens)), None
     )
@@ -244,12 +246,14 @@ def extract_graph(generators, pair, grid=DEFAULT_GRID, seed=0):
         raise DegenerateDataError(
             f"no generator involves coordinate {dep}; graph direction is degenerate"
         )
+    if len(grid) != d - 1:
+        raise DomainError(f"grid must give {d - 1} axis sizes")
+    if any(g < 1 for g in grid):
+        raise DomainError("grid sizes must be at least 1")
     # every axis draws the same jittered point set, so swapping the two
     # independent coordinates maps the base grid onto itself and retract
     # verdicts stay permutation-invariant
     axes = [equal_area_disk(g, np.random.default_rng(seed)) for g in grid]
-    if len(axes) != d - 1:
-        raise DomainError(f"grid must give {d - 1} axis sizes")
     mesh = np.meshgrid(*axes, indexing="ij")
     base = np.stack([m.ravel() for m in mesh], axis=1)
 

@@ -123,6 +123,17 @@ class TestFindBalancedPairOnGraph:
             find_balanced_pair_on_graph([0.1, 0.5], w1=0.0, r=0.5)
         with pytest.raises(DomainError):
             find_balanced_pair_on_graph([0.0, 0.5, 0.5], w1=0.0, r=0.5)
+        # degree 13 is above the Polynomial cap
+        with pytest.raises(DomainError, match="exceeds cap"):
+            find_balanced_pair_on_graph([0.0] * 13 + [0.5], w1=0.0, r=0.5)
+
+    def test_sup_just_above_one_rejected(self):
+        # |g| peaks at 1 + 2e-8 between two of 4096 equally spaced circle
+        # samples, which all read below 1
+        c, alpha = 0.5 + 1e-8, np.pi / 4096
+        g = [0.0, c * np.exp(1j * alpha), c * np.exp(2j * alpha)]
+        with pytest.raises(DomainError, match="not a self-map"):
+            find_balanced_pair_on_graph(g, w1=0.0, r=0.5)
 
     def test_succeeds_even_at_coarse_resolution(self):
         # Local refinement should rescue a deliberately coarse scan: the

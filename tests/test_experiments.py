@@ -3,6 +3,7 @@ extension-versus-von-Neumann comparison, and the circle-image test."""
 
 import numpy as np
 import pytest
+from scipy.integrate import quad
 
 from polydisklab import (
     Polynomial,
@@ -23,6 +24,7 @@ from polydisklab.disk_geometry import pseudo_hyperbolic
 from polydisklab.errors import DomainError
 from polydisklab.experiments import ARC_ETA, ARC_GRID, _omitted_arc
 
+GAP_MS = (0.1, 0.5, 0.7, 0.9, 0.95, 0.99, 0.999)
 CANONICAL = PolyPickData(d=2, nodes=((0.0, 0.0), (0.5, 0.5)), targets=(0.0, 0.7))
 
 
@@ -143,15 +145,10 @@ class TestExg1Reproduce:
         assert r.slack == pytest.approx(0.085035, abs=1e-6)
 
     def test_frozen_gap_value(self, report09):
-        assert report09.circle_gap == pytest.approx(3.977612, abs=0.01)
-
-    def test_shell_gaps_structure(self, report09):
-        exps = [e for e, _ in report09.shell_gaps]
-        gaps = [g for _, g in report09.shell_gaps]
-        assert exps == [2, 3, 4, 5, 6]
-        # closer shells to the boundary cover at least as much
-        assert all(a >= b - 1e-9 for a, b in zip(gaps, gaps[1:]))
-        assert report09.circle_gap <= min(gaps) + 1e-9
+        assert report09.circle_gap == pytest.approx(4.067280, abs=1e-6)
+        assert exg1_reproduce(0.7).circle_gap == pytest.approx(3.782650, abs=1e-6)
+        # near m = 1 the arc tends to 4 pi / 3, not to the whole circle
+        assert exg1_reproduce(0.999).circle_gap == pytest.approx(4.187635, abs=1e-6)
 
     def test_data_sits_on_plane_variety(self, report09):
         nodes = np.asarray(report09.data.nodes, dtype=complex)
@@ -162,16 +159,45 @@ class TestExg1Reproduce:
         assert report09.data.targets[0] == 0.0
 
     def test_gap_across_m_values(self):
-        frozen = {0.5: 3.268913, 0.95: 4.321224, 0.99: 6.162001}
-        for m, want in frozen.items():
+        # two oracles: 2 pi minus the quadrature of the rate of arg F along
+        # the boundary arc, and twice the argument of F at its endpoint
+        omega = np.exp(2j * np.pi / 3)
+        for m in GAP_MS:
             r = exg1_reproduce(m)
-            assert r.circle_gap == pytest.approx(want, abs=0.01)
+            image, _ = quad(
+                lambda t: 1.0 + (1.0 - m * m) / abs(np.exp(1j * t) - m) ** 2,
+                2.0 * np.pi / 3.0, 4.0 * np.pi / 3.0, epsabs=1e-13, epsrel=0.0,
+            )
+            endpoint = omega * (m - omega) / (1.0 - m * omega)
+            assert abs(r.circle_gap - (2.0 * np.pi - image)) <= 1e-12
+            assert abs(r.circle_gap - 2.0 * np.angle(endpoint)) <= 1e-12
             assert r.verdict == "violation_detected"
-            # omitted arc midpoint stays near 1
-            assert abs(np.angle(r.gap_midpoint)) <= 0.05
+            assert r.gap_midpoint == 1.0
+
+    @pytest.mark.parametrize("m", GAP_MS)
+    def test_boundary_image_bounds_the_gap(self, m):
+        # z1 = phi_m(u), z2 = u phi_m(u) over the arc Re u <= -1/2 lies on
+        # the closure of the plane, where |F| = 1; arg F stays out of the
+        # gap and reaches both of its ends
+        gap = exg1_reproduce(m).circle_gap
+        u = np.exp(1j * np.linspace(2.0 * np.pi / 3.0, 4.0 * np.pi / 3.0, 2001))
+        z1 = (m - u) / (1.0 - m * u)
+        z2 = u * z1
+        assert np.abs(z1 + z2).max() <= 1.0 + 1e-12
+        F = exg1_extremal_candidate(m)(np.stack([z1, z2, z1 + z2], axis=-1))
+        assert np.abs(np.abs(F) - 1.0).max() <= 1e-12
+        assert np.abs(np.angle(F)).min() >= gap / 2.0 - 1e-12
+        assert np.abs(np.angle(F[[0, -1]])) == pytest.approx(gap / 2.0, abs=1e-12)
+
+    def test_reproduce_samples_nothing(self, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("exg1_reproduce must not sample the arc")
+
+        monkeypatch.setattr(experiments, "_omitted_arc", forbidden)
+        assert exg1_reproduce(0.9).verdict == "violation_detected"
 
     def test_midpoint_near_one(self, report09):
-        assert abs(np.angle(report09.gap_midpoint)) <= 0.05
+        assert report09.gap_midpoint == 1.0
 
     def test_parameter_validation(self):
         for bad in (0.0, 1.0, -0.5, 1.5):

@@ -367,6 +367,12 @@ class TestMalformedInput:
                                     "targets": PAIR_TARGETS}),
                      id="string-d"),
         pytest.param(["pick-solve", "{file}"],
+                     ("poly_pick", {"nodes": [[]], "targets": [[0.1, 0]]}),
+                     id="empty-poly-node"),
+        pytest.param(["pick-solve", "{file}"],
+                     ("poly_pick", {"d": 0, "nodes": [[]], "targets": [[0.1, 0]]}),
+                     id="zero-d"),
+        pytest.param(["pick-solve", "{file}"],
                      ("disk_pick", {"nodes": 5, "targets": PAIR_TARGETS}),
                      id="scalar-disk-nodes"),
         pytest.param(["pick-solve", "{file}"],

@@ -53,6 +53,11 @@ class TestContainsAndSample:
         with pytest.raises(DegenerateDataError):
             sample_variety((Polynomial(3, {(0, 0, 0): 1.0}),))
 
+    def test_count_below_one_rejected(self):
+        for count in (0, -1):
+            with pytest.raises(DomainError, match="count"):
+                sample_variety(builtin_v0(), count=count)
+
 
 class TestExtractGraph:
     def test_v0_three_pairs(self):
@@ -95,6 +100,11 @@ class TestExtractGraph:
             extract_graph(gens, (0, 1))
         with pytest.raises(DomainError):
             extract_graph(gens, (1, 1))
+
+    def test_grid_below_one_rejected(self):
+        for grid in ((0, 0), (8, 0), (-1, 8)):
+            with pytest.raises(DomainError, match="grid"):
+                extract_graph(builtin_v0(), (1, 2), grid=grid)
 
     def test_degenerate_direction(self):
         # generator free of z3: no graph over (1, 2)
