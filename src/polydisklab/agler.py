@@ -22,15 +22,23 @@ unit-diagonal K with every [(1 - lambda_i^r conj(lambda_j^r)) K_ij] PSD and
 [(1 - (w_i/t) conj(w_j/t)) K_ij] clearly indefinite.  Both certificates are
 re-verified independently of the solver; a level the path cannot separate from
 the minimal one stays undecided.
+
+At these sizes (n <= 12 nodes) a Newton step does little arithmetic, so it is
+written for few Python-level calls, with LAPACK called directly, as the numpy
+and scipy wrappers call it: with one BLAS thread the path is bitwise the same
+as through them (tests/test_barrier_path.py keeps the wrapper-based step).  The
+dual Y is built only for an infeasibility certificate, and a Newton system that
+stops being finite ends the path undecided.
 """
 
 from __future__ import annotations
 
 import cmath
 import dataclasses
+import functools
 
 import numpy as np
-from scipy.linalg import solve_triangular
+from scipy.linalg.lapack import dgeqrf, dorgqr, dtrtrs, ztrtrs
 
 from .disk_geometry import check_poly_point
 from .errors import DegenerateDataError, DomainError, UndecidedError
@@ -221,16 +229,28 @@ def _hmat(v, basis, n):
     return x.reshape(n, n)
 
 
-def _scaled_form(Li, basis, cols):
-    """Real matrix of X -> Li X Li* from the span of F into the Hermitian
-    basis, for F whose column a is c[0, a] E[i[0, a]] + c[1, a] E[i[1, a]]
-    with cols = (i, c).  With Li the inverse Cholesky factor of Gamma, its
-    Gram matrix is the real form of the -log det Hessian, conj(W) kron W
-    with W = inv(Gamma), restricted to F."""
-    (li, lc), (ri, rc) = basis, cols
-    K = np.kron(Li, np.conj(Li))
-    KF = K[:, ri[0]] * rc[0] + K[:, ri[1]] * rc[1]
-    return np.real(np.conj(lc[0])[:, None] * KF[li[0]] + np.conj(lc[1])[:, None] * KF[li[1]])
+def _checked(x, info):
+    """A LAPACK call's result, with its status checked; only a triangular
+    solve returns info > 0, for a zero on the diagonal."""
+    if info > 0:
+        raise np.linalg.LinAlgError(f"singular matrix: resolution failed at diagonal {info - 1}")
+    if info < 0:
+        raise ValueError(f"illegal value in argument {-info} of a LAPACK call")
+    return x
+
+
+# Optimal dgeqrf and dorgqr workspaces by Newton matrix shape, filled on
+# first use.  A smaller workspace makes LAPACK take its unblocked code at
+# larger shapes, which rounds differently.
+_QR_LWORK = {}
+
+
+def _qr_lwork(m, k):
+    if (m, k) not in _QR_LWORK:
+        z = np.zeros((m, k))
+        _QR_LWORK[m, k] = (int(dgeqrf(z, lwork=-1)[2][0]),
+                           int(dorgqr(z, np.zeros(k), lwork=-1)[1][0]))
+    return _QR_LWORK[m, k]
 
 
 def _central_path(M, B, gammas, s):
@@ -243,25 +263,40 @@ def _central_path(M, B, gammas, s):
     the maps dGamma^r -> inv(L^r) dGamma^r inv(L^r)*, and is factored by
     QR of A, which keeps the late, badly conditioned steps accurate.
 
+    A step makes few Python-level calls: one batched Cholesky
+    factorization of all blocks, one LAPACK triangular inverse per factor,
+    one broadcast Kronecker product and two gathers for all of A, and
+    LAPACK QR and triangular solves called directly, with the optimal
+    workspace (_qr_lwork).  Each call is the one the numpy and scipy
+    wrappers make, so every floating-point operation runs as it did
+    through them.
+
     After each step computation it yields (s, gap, gammas, Y): when the
-    Newton decrement is below 1, Y is the dual point from that step
+    Newton decrement is below 1, Y() builds the dual point from that step
     (<Y, B> = 1 and every conj(M^r) o Y PSD) and s <= s* <= s + gap;
-    otherwise gap is inf and Y None.  Raises UndecidedError, with the
-    last bracket, when the Newton budget runs out or a barrier block
-    stops being positive definite.
+    otherwise gap is inf and Y None.  Y is built only when called, since
+    only an infeasibility certificate needs it.  Raises UndecidedError,
+    with the last bracket, when the Newton budget runs out, a barrier
+    block stops being positive definite, or the Newton system stops being
+    finite; a non-finite step either fails the Cholesky factorization or
+    makes the next Newton system non-finite.
     """
     d, n, _ = M.shape
     S0 = 1.0 / M[0]
     J = np.ones((n, n))
     P = S0[None] * M[1:]
     PB = S0 * B
-    basis = _hbasis(n)
+    li, lc = basis = _hbasis(n)
+    lc0, lc1 = np.conj(lc[0])[:, None], np.conj(lc[1])[:, None]
     nb, nf = n * n, (d - 1) * n * n
-    # dGamma^1 = -sum_{r>1} P^r o dGamma^r - ds S^1 o B, with P^r = S^1 o M^r
-    cross = (np.tile(basis[0], (1, d - 1)),
-             np.hstack([-basis[1] * P[r].reshape(-1)[basis[0]]
-                        for r in range(d - 1)] or [np.zeros((2, 0))]))
+    # dGamma^1 = -sum_{r>1} P^r o dGamma^r - ds S^1 o B, with P^r = S^1 o M^r;
+    # column a of block 1 is cc[0, a] E[ci[0, a]] + cc[1, a] E[ci[1, a]]
+    ci = np.tile(li, (1, d - 1))
+    cc = np.hstack([-lc * P[r].reshape(-1)[li] for r in range(d - 1)] or [np.zeros((2, 0))])
     ones = np.tile(_hvec(np.eye(n), basis), d)
+    last = np.eye(nf + 1)[nf]
+    eye = np.eye(n, dtype=complex)
+    lwork = _qr_lwork(d * nb, nf + 1)
     nu = float(n * d)
     tau = nu * float(np.max(np.real(np.diag(B))))
     gam = [np.array(g, dtype=complex) for g in gammas]
@@ -271,30 +306,57 @@ def _central_path(M, B, gammas, s):
         return S0 * (J - s * B - sum(M[r] * gam[r] for r in range(1, d)))
 
     def inverse_factors(gam):
-        return [solve_triangular(np.linalg.cholesky(g), np.eye(n), lower=True)
-                for g in gam]
+        # trtrs on the transposed C-ordered factor, as solve_triangular calls it
+        return [_checked(*ztrtrs(L.T, eye, lower=0, trans=1))
+                for L in np.linalg.cholesky(np.array(gam))]
+
+    def dual(Li0, dz, tau_d):
+        W0 = np.conj(Li0.T) @ Li0
+        dg0 = -sum(P[r - 1] * _hmat(dz[(r - 1) * nb:r * nb], basis, n)
+                   for r in range(1, d)) - dz[nf] * PB
+        Y = (W0 - W0 @ dg0 @ W0) / np.conj(M[0]) / tau_d
+        return 0.5 * (Y + np.conj(Y.T))
+
+    def undecided(message):
+        return UndecidedError(message, residuals=dict(state))
 
     gam[0] = eliminate(gam, s)
     try:
         Li = inverse_factors(gam)
     except np.linalg.LinAlgError as exc:
-        raise UndecidedError(f"barrier path start is not positive definite: {exc}",
-                             residuals=dict(state)) from exc
+        raise undecided(f"barrier path start is not positive definite: {exc}") from exc
     for step in range(NEWTON_BUDGET):
         state["newton_steps"] = step
+        # K[r] = kron(inv(L^r), conj(inv(L^r))): the -log det Hessian's
+        # real form on block r, gathered onto each block's columns and
+        # then onto the Hermitian basis
+        Ls = np.array(Li)
+        K = (Ls[:, :, None, :, None] * np.conj(Ls)[:, None, :, None, :]).reshape(d, nb, nb)
+        KF0 = K[0][:, ci[0]] * cc[0] + K[0][:, ci[1]] * cc[1]
+        KF = K[1:, :, li[0]] * lc[0] + K[1:, :, li[1]] * lc[1]
+        blocks = np.real(lc0 * KF[:, li[0]] + lc1 * KF[:, li[1]])
         A = np.zeros((d * nb, nf + 1))
-        A[:nb, :nf] = _scaled_form(Li[0], basis, cross)
+        A[:nb, :nf] = np.real(lc0 * KF0[li[0]] + lc1 * KF0[li[1]])
         A[:nb, nf] = _hvec(Li[0] @ (-PB) @ np.conj(Li[0].T), basis)
         for r in range(1, d):
-            A[r * nb:(r + 1) * nb, (r - 1) * nb:r * nb] = _scaled_form(Li[r], basis, basis)
+            A[r * nb:(r + 1) * nb, (r - 1) * nb:r * nb] = blocks[r - 1]
         gb = -A.T @ ones
+        # a column sum of A is finite only when its column is
+        if not np.isfinite(gb).all():
+            raise undecided("barrier Newton system is not finite")
         try:
-            Q, R = np.linalg.qr(A)
-            a = -solve_triangular(R, Q.T @ ones)
-            c = solve_triangular(R, np.eye(nf + 1)[nf]) / R[nf, nf]
+            qr, tr, _, info = dgeqrf(A, lwork=lwork[0])
+            Q, _, info = dorgqr(qr, _checked(tr, info), lwork=lwork[1])
+            # Q.T @ ones takes another BLAS kernel, which rounds
+            # differently, when Q is F-ordered as LAPACK returns it
+            Q = np.ascontiguousarray(_checked(Q, info))
+            # R's transpose as the lower triangle, as solve_triangular
+            # passes a C-ordered R
+            Rt = np.ascontiguousarray(qr[:nf + 1, :nf + 1]).T
+            a = -_checked(*dtrtrs(Rt, Q.T @ ones, lower=1, trans=1))
+            c = _checked(*dtrtrs(Rt, last, lower=1, trans=1)) / qr[nf, nf]
         except np.linalg.LinAlgError as exc:
-            raise UndecidedError(f"singular barrier Newton system: {exc}",
-                                 residuals=dict(state)) from exc
+            raise undecided(f"singular barrier Newton system: {exc}") from exc
         g_a = float(np.dot(gb, a))
 
         def newton(tau):
@@ -310,12 +372,8 @@ def _central_path(M, B, gammas, s):
             tau_d = (a[nf] + np.sqrt(disc)) / c[nf]
             dz = tau_d * c - a
             gap = max((nu + float(np.dot(gb, dz))) / tau_d, 0.0)
-            W0 = np.conj(Li[0].T) @ Li[0]
-            dg0 = -sum(P[r - 1] * _hmat(dz[(r - 1) * nb:r * nb], basis, n)
-                       for r in range(1, d)) - dz[nf] * PB
-            Y = (W0 - W0 @ dg0 @ W0) / np.conj(M[0]) / tau_d
             state["gap"] = gap
-            yield s, gap, tuple(gam), 0.5 * (Y + np.conj(Y.T))
+            yield s, gap, tuple(gam), functools.partial(dual, Li[0], dz, tau_d)
         else:
             yield s, np.inf, tuple(gam), None
         dz, lam2 = newton(tau)
@@ -337,8 +395,7 @@ def _central_path(M, B, gammas, s):
             except np.linalg.LinAlgError:
                 alpha *= 0.5
         else:
-            raise UndecidedError("barrier step cannot stay positive definite",
-                                 residuals=dict(state))
+            raise undecided("barrier step cannot stay positive definite")
         gam, s = trial, trial_s
         state["s"] = float(s)
     raise UndecidedError("barrier path exhausted its Newton budget",
@@ -424,17 +481,21 @@ def agler_feasible(data, t, optimal_certificate=False):
                     gammas=tuple(_herm(th * g + (1.0 - th) * g0)
                                  for g, g0 in zip(gam, start)),
                     t=float(t))
-                if dec.min_eigenvalue() >= GAMMA_PSD_TOL:
+                min_eig = dec.min_eigenvalue()
+                if min_eig >= GAMMA_PSD_TOL:
                     break
             if s + gap < target and (not optimal_certificate
                                      or gap <= 2.0 * NORM_RTOL * s):
-                pol = _polish_dual(M0, b0, Y)
+                pol = _polish_dual(M0, b0, Y())
                 if pol is not None:
                     return Infeasible(DualKernel(K=pol[0], violation=pol[1]))
+        else:
+            # the path only ends by a break or a raise; zero targets take the start
+            min_eig = dec.min_eigenvalue()
     except UndecidedError as exc:
         exc.t = t
         raise
-    if dec.min_eigenvalue() < GAMMA_PSD_TOL:
+    if min_eig < GAMMA_PSD_TOL:
         raise UndecidedError("decomposition failed independent PSD verification", t=t)
     if dec.reconstruction_residual(data) > RECON_TOL:
         raise UndecidedError(

@@ -152,16 +152,67 @@ class TestAglerFeasible:
         assert err.value.t == t
         assert err.value.iterations == 1
 
-    def test_singular_core_is_undecided(self, monkeypatch):
-        def singular(*args, **kwargs):
-            raise np.linalg.LinAlgError("singular matrix")
+    @staticmethod
+    def singular_from(monkeypatch, name, call):
+        """Make agler's LAPACK routine name report a zero on the diagonal
+        (info > 0) from its call-th call on."""
+        lapack_fn, calls = getattr(agler, name), []
 
-        monkeypatch.setattr(agler, "solve_triangular", singular)
-        with pytest.raises(UndecidedError) as err:
-            agler_feasible(CANONICAL, t=1.2)
+        def fn(*args, **kwargs):
+            calls.append(None)
+            x, info = lapack_fn(*args, **kwargs)
+            return (x, 1) if len(calls) >= call else (x, info)
+
+        monkeypatch.setattr(agler, name, fn)
+
+    def assert_undecided_both_ways(self, monkeypatch, name, call, message):
+        with monkeypatch.context() as mp:
+            self.singular_from(mp, name, call)
+            with pytest.raises(UndecidedError, match=message) as err:
+                agler_feasible(CANONICAL, t=1.2)
         assert err.value.t == 1.2
         assert "s" in err.value.residuals
-        with pytest.raises(UndecidedError) as err:
+        with monkeypatch.context() as mp:
+            self.singular_from(mp, name, call)
+            with pytest.raises(UndecidedError, match=message) as err:
+                schur_agler_norm(CANONICAL)
+        assert "bracket" in err.value.residuals
+
+    def test_singular_core_is_undecided(self, monkeypatch):
+        # the inverse of the first Cholesky factor fails
+        self.assert_undecided_both_ways(monkeypatch, "ztrtrs", 1,
+                                        "start is not positive definite: singular")
+
+    def test_singular_factor_in_step_is_undecided(self, monkeypatch):
+        # every factor inverse after the start's fails, so no step length
+        # keeps the blocks invertible
+        self.assert_undecided_both_ways(monkeypatch, "ztrtrs", 3,
+                                        "cannot stay positive definite")
+
+    def test_singular_newton_solve_is_undecided(self, monkeypatch):
+        # the solve with the R factor of the Newton matrix fails
+        self.assert_undecided_both_ways(monkeypatch, "dtrtrs", 1,
+                                        "singular barrier Newton system")
+
+    def test_non_finite_factor_is_undecided(self, monkeypatch):
+        # a NaN in a Cholesky factor from the fifth factorization on: the
+        # path stops at the next Newton system instead of spinning on NaN
+        cholesky, calls = np.linalg.cholesky, []
+
+        def poisoned(a, *args, **kwargs):
+            calls.append(None)
+            L = cholesky(a, *args, **kwargs)
+            if len(calls) >= 5:
+                L[..., 0, 0] = np.nan
+            return L
+
+        monkeypatch.setattr(np.linalg, "cholesky", poisoned)
+        with pytest.raises(UndecidedError, match="not finite") as err:
+            agler_feasible(CANONICAL, t=1.5)
+        assert err.value.t == 1.5
+        assert "s" in err.value.residuals
+        calls.clear()
+        with pytest.raises(UndecidedError, match="not finite") as err:
             schur_agler_norm(CANONICAL)
         assert "bracket" in err.value.residuals
 

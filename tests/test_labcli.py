@@ -128,11 +128,31 @@ class TestPickSolve:
         assert main(["pick-solve", poly_problem]) == 2
         assert capsys.readouterr().out == ""
 
-    def test_singular_newton_core_exits_2(self, poly_problem, monkeypatch, capsys):
-        def singular(*args, **kwargs):
-            raise np.linalg.LinAlgError("singular matrix")
+    @staticmethod
+    def singular(monkeypatch, name):
+        # a triangular solve of the barrier path reports a zero on the diagonal
+        lapack_fn = getattr(agler, name)
+        monkeypatch.setattr(agler, name, lambda *a, **k: (lapack_fn(*a, **k)[0], 1))
 
-        monkeypatch.setattr(agler, "solve_triangular", singular)
+    def test_singular_newton_core_exits_2(self, poly_problem, monkeypatch, capsys):
+        self.singular(monkeypatch, "ztrtrs")
+        assert main(["pick-solve", poly_problem]) == 2
+        assert "undecided" in capsys.readouterr().err
+
+    def test_singular_newton_solve_exits_2(self, poly_problem, monkeypatch, capsys):
+        self.singular(monkeypatch, "dtrtrs")
+        assert main(["pick-solve", poly_problem]) == 2
+        assert "undecided" in capsys.readouterr().err
+
+    def test_non_finite_newton_system_exits_2(self, poly_problem, monkeypatch, capsys):
+        cholesky = np.linalg.cholesky
+
+        def poisoned(a, *args, **kwargs):
+            L = cholesky(a, *args, **kwargs)
+            L[..., 0, 0] = np.nan
+            return L
+
+        monkeypatch.setattr(np.linalg, "cholesky", poisoned)
         assert main(["pick-solve", poly_problem]) == 2
         assert "undecided" in capsys.readouterr().err
 
