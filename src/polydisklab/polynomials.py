@@ -5,11 +5,11 @@ Shared by the variety tools (generators), the operator-theory checks
 are stored sparsely as exponent-tuple -> coefficient maps.  The
 supremum on the unit torus takes one polynomial or a batch of them.  A
 one-term polynomial has constant modulus there, so its supremum is |c|.
-Every other polynomial is evaluated on a grid of roots of unity, whose
-best points seed windows that are refined in rounds shared by the whole
-batch: each round drops coincident windows, then evaluates a local
-tensor grid around every window, a fixed-size block of windows at a
-time.  The grid and the windows come from one kernel, which contracts
+Every other polynomial is evaluated on a grid of roots of unity, and
+each peak among its best grid points seeds one window.  The windows are
+refined in rounds shared by the whole batch: each round evaluates a
+local tensor grid around every window, a fixed-size block of windows at
+a time.  The grid and the windows come from one kernel, which contracts
 per-axis tables of exp(i a theta) with the coefficient tensors,
 zero-padded to one shape in a batch.
 """
@@ -93,6 +93,8 @@ class Polynomial:
             if any(a < 0 for a in expo):
                 raise DomainError(f"negative exponent in {expo}")
             c = complex(c)
+            if not np.isfinite(c):
+                raise DomainError(f"coefficient {c} of {expo} is not finite")
             if abs(c) <= _COEFF_CHOP:
                 continue
             if sum(expo) > MAX_DEGREE:
@@ -328,8 +330,8 @@ def sup_on_torus(p):
 
     For every other polynomial a scan of the grid of grid-th roots of
     unity in each coordinate (_grid_candidates, one window of the kernel
-    below) picks its REFINE_CANDIDATES best grid points, the centres of
-    its windows.
+    below) takes its REFINE_CANDIDATES best grid points, which mostly
+    crowd one peak, and keeps the peaks among them as window centres.
     Each round then evaluates a REFINE_POINTS^d local grid in every
     window of the batch (_local_grid_values, on the coefficient tensors
     zero-padded to one shape, at most REFINE_BLOCK local grid points per
@@ -343,13 +345,11 @@ def sup_on_torus(p):
     the ridge.  A polynomial's refinement ends once its windows have all shrunk
     REFINE_STAGES times (the last local spacing is then below 1e-8 rad),
     or after 2 * REFINE_STAGES rounds; its windows then leave the batch.
-    Neighbouring grid points often converge onto one centre: a window
-    with the polynomial, centre and shrink count of another is dropped
-    at the start of a round, which changes nothing, since coincident
-    windows stay coincident.  So each supremum is the refinement its
-    polynomial gets on its own: bit for bit when the batch shares one
-    coefficient shape, else within the rounding of the padded
-    contraction (1e-15 relative).
+    So each supremum is the refinement its polynomial gets on its own:
+    bit for bit when the batch shares one coefficient shape, else within
+    the rounding of the padded contraction (1e-15 relative).  A window
+    at every best grid point would give no smaller value, and on 7060
+    draws at most 1.4e-15 relative larger.
 
     Measured against certified brackets from a branch and bound on
     |p|^2 (tests/test_polynomials.py), no result fell short of the
@@ -376,10 +376,13 @@ def sup_on_torus(p):
 
 
 def _grid_candidates(p):
-    """The REFINE_CANDIDATES best points of |p| on the grid of grid-th
-    roots of unity in each coordinate, as (c, d) angles, and the largest
-    grid value.  The grid is one window of _local_grid_values, centred
-    at theta = 0, whose offsets along every axis are the grid angles."""
+    """The peaks of |p| among its REFINE_CANDIDATES best points on the
+    grid of grid-th roots of unity in each coordinate, as (c, d) angles,
+    and the largest grid value.  A best point is dropped when another is
+    strictly larger within one grid step in every coordinate (counted
+    cyclically), so each peak seeds one window.  The grid is one window
+    of _local_grid_values, centred at theta = 0, whose offsets along
+    every axis are the grid angles."""
     grid = effective_torus_grid(p.d)
     C = _coefficient_stack([p])
     width = max(C.shape[1:])
@@ -389,8 +392,12 @@ def _grid_candidates(p):
     flat = np.abs(_local_grid_values(C, *window)).ravel()
     take = min(REFINE_CANDIDATES, flat.size)
     idx = np.argpartition(flat, flat.size - take)[-take:]
+    vals = flat[idx]
     centers = np.stack(np.unravel_index(idx, (grid,) * p.d), axis=1)
-    return angles[centers], float(flat[idx].max())
+    # (i - j + 1) mod grid <= 2: at most one step apart, cyclically
+    near = np.all((centers[:, None] - centers[None] + 1) % grid <= 2, axis=2)
+    peaks = ~np.any(near & (vals[None, :] > vals[:, None]), axis=1)
+    return angles[centers[peaks]], float(vals.max())
 
 
 def _refined_suprema(polys):
@@ -412,19 +419,12 @@ def _refined_suprema(polys):
     shrinks = np.zeros(len(owner), dtype=int)
     block = max(1, REFINE_BLOCK // REFINE_POINTS ** d)
     for _round in range(2 * stages):
-        # keep the windows of unfinished polynomials, one per
-        # (polynomial, shrink count, centre)
+        # keep the windows of unfinished polynomials
         unfinished = np.zeros(len(polys), dtype=bool)
         unfinished[owner[shrinks < stages]] = True
-        live = np.flatnonzero(unfinished[owner])
-        if not len(live):
+        keep = unfinished[owner]
+        if not keep.any():
             break
-        keys = np.column_stack([owner, shrinks, thetas])[live]
-        order = np.lexsort(keys.T)
-        rows = keys[order]
-        first = np.ones(len(rows), dtype=bool)
-        first[1:] = np.any(rows[1:] != rows[:-1], axis=1)
-        keep = live[np.sort(order[first])]
         owner, shrinks, thetas = owner[keep], shrinks[keep], thetas[keep]
         k = np.empty(len(owner), dtype=int)
         for start in range(0, len(owner), block):

@@ -445,6 +445,12 @@ class TestMalformedInput:
                                     "derivative_constraints":
                                         [[0, [float("nan"), 0.0]]]}),
                      id="nan-derivative-value"),
+        # z3 = z1 + z2 with a NaN z1 coefficient, once read as z3 = z2
+        pytest.param(["variety", "retract", "{file}"],
+                     ("variety", {"generators": [{"d": 3, "terms": [
+                         [0, 0, 1, 1.0, 0.0], [1, 0, 0, float("nan"), 0.0],
+                         [0, 1, 0, -1.0, 0.0]]}]}),
+                     id="nan-generator-coefficient"),
         pytest.param(["experiment", "ext-vs-vn", "--m", "0.9", "--scale", "nan",
                       "--out-dir", "{tmp}"], None, id="nan-scale"),
         pytest.param(["experiment", "ext-vs-vn", "--m", "0.9", "--scale", "inf",

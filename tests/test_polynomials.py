@@ -39,6 +39,21 @@ def _ifftn_grid(p):
     return np.abs(np.fft.ifftn(pad) * grid ** p.d), grid
 
 
+def _grid_peaks(values, take):
+    """Oracle of the candidate rule: of the take largest grid values, the
+    points with no strictly larger one among them within one grid step
+    in every coordinate, counted cyclically."""
+    top = np.argsort(values.ravel())[-take:]
+    points = list(zip(*np.unravel_index(top, values.shape)))
+    grid = values.shape[0]
+
+    def near(a, b):
+        return all((x - y) % grid in (0, 1, grid - 1) for x, y in zip(a, b))
+
+    return {a for a in points
+            if not any(near(a, b) and values[b] > values[a] for b in points)}
+
+
 def _kernel_grid(p):
     """The grid values of _grid_candidates: one window of the local grid
     kernel, centred at theta = 0, with the grid angles as offsets."""
@@ -103,6 +118,16 @@ class TestPolynomialBasics:
         assert q.d == p.d
         assert q.coeffs == p.coeffs
 
+    @pytest.mark.parametrize("c", [np.nan, np.inf, -np.inf, complex(0.0, np.nan),
+                                   complex(1.0, np.inf)])
+    def test_non_finite_coefficient_rejected(self, c):
+        # abs(nan) > chop is False, so an unchecked NaN term would vanish
+        # from the polynomial; an infinite one makes the supremum NaN
+        with pytest.raises(DomainError):
+            Polynomial(2, {(0, 0): c, (1, 0): 1.0})
+        with pytest.raises(DomainError):
+            Polynomial(1, {(0,): c})
+
     def test_payload_validation(self):
         with pytest.raises(DomainError):
             Polynomial.from_payload({"d": 2, "terms": [[1, 0, 0.5]]})
@@ -165,12 +190,20 @@ class TestTorusSup:
         vals, grid = _kernel_grid(p)
         want, _grid = _ifftn_grid(p)
         assert np.abs(vals - want).max() <= 1e-13 * _l1(p)
-        # the candidates are the oracle's best grid points
+        # the candidates are the peaks among the oracle's best grid points
         thetas, best = _grid_candidates(p)
         got = {tuple(k) for k in np.rint(thetas * grid / (2.0 * np.pi)).astype(int)}
-        top = np.argsort(want.ravel())[-REFINE_CANDIDATES:]
-        assert got == set(zip(*np.unravel_index(top, want.shape)))
+        assert got == _grid_peaks(want, REFINE_CANDIDATES)
         assert abs(best - want.max()) <= 1e-13 * _l1(p)
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_one_window_for_a_peak_on_the_grid_seam(self, d):
+        # |1 + z_1 + ... + z_d| peaks at theta = 0, next to grid points at
+        # index grid - 1: counted cyclically, they are its neighbours
+        p = Polynomial(d, {tuple(e): 1.0 for e in np.eye(d + 1, d, -1, dtype=int)})
+        thetas, best = _grid_candidates(p)
+        assert np.array_equal(thetas, np.zeros((1, d)))
+        assert best == pytest.approx(d + 1.0, rel=1e-15)
 
     def test_grid_values_shape(self):
         p = Polynomial(2, {(1, 0): 1.0})
@@ -242,13 +275,23 @@ class TestLocalGridKernel:
         assert np.allclose(np.abs(mono), 1.5, rtol=0, atol=1e-14)
 
 
-def _unmerged_sup(p):
+def _grid_top(p):
+    """The REFINE_CANDIDATES best grid points of _grid_candidates, as
+    angles, before any is dropped for a larger neighbour, and the largest
+    grid value."""
+    vals, grid = _kernel_grid(p)
+    flat = vals.ravel()
+    idx = np.argpartition(flat, flat.size - REFINE_CANDIDATES)[-REFINE_CANDIDATES:]
+    centers = np.stack(np.unravel_index(idx, vals.shape), axis=1)
+    return centers * (2.0 * np.pi / grid), float(flat[idx].max())
+
+
+def _unmerged_sup(p, thetas, best):
     """sup_on_torus's refinement for one polynomial with at least two
-    terms, as a loop over rounds that keeps every window: coincident
-    windows are refined side by side, and the loop runs until all
-    windows have shrunk REFINE_STAGES times or 2 * REFINE_STAGES rounds
-    have passed."""
-    thetas, best = _grid_candidates(p)
+    terms, from windows at the given angles and the grid maximum best,
+    as a loop over rounds that keeps every window: coincident windows
+    are refined side by side, and the loop runs until all windows have
+    shrunk REFINE_STAGES times or 2 * REFINE_STAGES rounds have passed."""
     grid = effective_torus_grid(p.d)
     take = len(thetas)
     C = _coefficient_stack([p])[0]
@@ -294,7 +337,7 @@ def _mixed_batch(rng, d, count, max_degree):
 
 class TestBatchedSupremum:
     """sup_on_torus on a sequence against one call per polynomial, and
-    the merged refinement against the loop that keeps every window."""
+    the batched refinement against a plain loop on the same windows."""
 
     @pytest.mark.parametrize("d, count, max_degree",
                              [(1, 300, VN_MAX_DEGREE), (2, 250, VN_MAX_DEGREE), (3, 10, 2)])
@@ -328,10 +371,48 @@ class TestBatchedSupremum:
         assert isinstance(got, np.ndarray) and got.shape == (0,)
 
     def test_merged_matches_unmerged_reference(self):
+        # the batch loop, which retires windows with their polynomial,
+        # against the plain loop on the same windows
         rng = np.random.default_rng(31)
         for _ in range(200):
             p = _sample_test_polynomial(rng, 2, VN_MAX_DEGREE)
-            assert sup_on_torus(p) == _unmerged_sup(p)
+            assert sup_on_torus(p) == _unmerged_sup(p, *_grid_candidates(p))
+
+
+def _near_inner_draw(index):
+    """Draw index of von_neumann_check's sampler at seed 5, d = 2."""
+    rng = np.random.default_rng(5)
+    for _ in range(index + 1):
+        p = _sample_test_polynomial(rng, 2, VN_MAX_DEGREE)
+    return p
+
+
+class TestPeakWindows:
+    """One window per grid peak against a window at each of the
+    REFINE_CANDIDATES best grid points.  The kept windows follow the
+    reference's own trajectories, so the supremum is never above the
+    reference, and a dropped window that climbs the same peak finds its
+    maximum to within rounding."""
+
+    def _check(self, polys):
+        for p in polys:
+            if len(p.coeffs) < 2:
+                continue
+            ref = _unmerged_sup(p, *_grid_top(p))
+            assert ref * (1.0 - 1e-14) <= sup_on_torus(p) <= ref
+
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_von_neumann_draws(self, d):
+        rng = np.random.default_rng(60 + d)
+        self._check([_sample_test_polynomial(rng, d, VN_MAX_DEGREE)
+                     for _ in range(1000)])
+
+    def test_near_inner_draws(self):
+        self._check([_near_inner_draw(i) for i in (186, 623, 996)])
+
+    def test_three_variable_draws(self):
+        rng = np.random.default_rng(64)
+        self._check([random_polynomial(rng, 3, 2) for _ in range(20)])
 
 
 def _certified_bracket(p, grid, rtol=1e-9, max_boxes=200_000):
@@ -414,9 +495,7 @@ class TestCertifiedSupremum:
         # shrinks every round falls behind the crest's maximum (draw 186
         # by 3e-7 with a 4-fold shrink, draws 623 and 996 by 5e-7 and
         # 8e-8 with a 3-fold one)
-        rng = np.random.default_rng(5)
-        for _ in range(index + 1):
-            p = _sample_test_polynomial(rng, 2, VN_MAX_DEGREE)
+        p = _near_inner_draw(index)
         absvals, _grid = _ifftn_grid(p)
         assert np.all(np.abs(np.percentile(absvals, [25, 75]) - 1.0) < 0.07)
         self._check(p, 128)
