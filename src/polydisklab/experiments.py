@@ -37,7 +37,7 @@ from .agler import PolyPickData, agler_feasible, schur_agler_norm
 from .disk_geometry import pseudo_hyperbolic
 from .errors import DomainError
 from .operators import violation_witness
-from .polynomials import Polynomial
+from .polynomials import Polynomial, sup_on_torus
 
 SHELL_EXPONENTS = (2, 3, 4, 5, 6)
 ARC_GRID = 4096
@@ -303,18 +303,29 @@ def circle_image_test(generators, phi, data, seed=0):
     extremal solution of an extension-property variety must cover the
     whole circle, so extremal evidence plus a positive arc is exactly
     the failure signature.
+
+    phi must map the polydisk into the closed disk, else DomainError.  A
+    Polynomial phi is refused when its supremum on the torus, which
+    bounds |phi| on the polydisk, exceeds 1 + 1e-9 (sup_on_torus).  A
+    callable phi can only be sampled: it is refused when |phi| exceeds
+    1 + 1e-9 at one of 4096 random points of the polydisk, so a callable
+    slightly larger than 1 elsewhere can pass.
     """
     if isinstance(phi, Polynomial):
         if phi.d != data.d:
             raise DomainError("phi and data dimensions differ")
-    elif not callable(phi):
+        sup = sup_on_torus(phi)
+        if sup > 1.0 + 1e-9:
+            raise DomainError(f"phi exceeds modulus 1 on the torus (sup {sup:.6f})")
+    elif callable(phi):
+        rng = np.random.default_rng(seed)
+        probe = rng.uniform(size=(4096, data.d)) ** 0.5 * np.exp(
+            2j * np.pi * rng.uniform(size=(4096, data.d))
+        )
+        if np.abs(phi(probe)).max() > 1.0 + 1e-9:
+            raise DomainError("phi exceeds modulus 1 on the sampled polydisk")
+    else:
         raise DomainError("phi must be a Polynomial or a vectorized callable")
-    rng = np.random.default_rng(seed)
-    probe = rng.uniform(size=(4096, data.d)) ** 0.5 * np.exp(
-        2j * np.pi * rng.uniform(size=(4096, data.d))
-    )
-    if np.abs(phi(probe)).max() > 1.0 + 1e-9:
-        raise DomainError("phi exceeds modulus 1 on the sampled polydisk")
 
     node_arr = np.asarray(data.nodes, dtype=complex)
     interp = float(

@@ -14,6 +14,7 @@ or human-readable text.  Exit codes are a stable contract:
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -634,10 +635,16 @@ def build_parser():
     return parser
 
 
+@functools.lru_cache(maxsize=1)
+def _shared_parser():
+    """build_parser(), built once per process: parse_args reads the
+    parser and never changes it, also when it fails."""
+    return build_parser()
+
+
 def main(argv=None):
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _shared_parser().parse_args(argv)
         return args.func(args)
     except (_UsageError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -31,9 +31,11 @@ from .errors import (
 from .polynomials import (
     Polynomial,
     _coefficient_stack,
+    _refine_shape,
+    _torus_lower_bounds,
+    _torus_suprema,
     effective_torus_grid,
     random_polynomial,
-    sup_on_torus,
 )
 
 # Construction invariants (joint eigenvalues, commutation, Gram match)
@@ -43,6 +45,9 @@ KERNEL_RANK_TOL = 1e-10
 
 VN_SAMPLES = 1000
 VN_MAX_DEGREE = 6
+# von_neumann_check skips the exact supremum of a sample whose ratio
+# bound is below (1 - VN_PRUNE_RTOL) times the largest ratio found.
+VN_PRUNE_RTOL = 1e-9
 
 
 @dataclasses.dataclass(frozen=True)
@@ -150,18 +155,18 @@ def evaluate_function(tup, p):
         raise DimensionMismatchError(
             f"polynomial in {p.d} variables, tuple has {tup.d}"
         )
-    return _function_values(tup, [p])[0]
+    return _function_values(tup, _coefficient_stack([p]))[0]
 
 
-def _function_values(tup, polys):
-    """p(T_1, ..., T_d) for every p in polys (all in tup.d variables), as
-    an (m, n, n) array.
+def _function_values(tup, C):
+    """p(T_1, ..., T_d) for every p of the coefficient stack C (see
+    _coefficient_stack; polynomials in tup.d variables), as an (m, n, n)
+    array.
 
     The table of monomials T_1^a_1 ... T_d^a_d, a up to the largest
     degree of the batch in each variable, is built once and contracted
     with the stacked coefficient tensors in one matmul.
     """
-    C = _coefficient_stack(polys)
     n = tup.gram_vectors.shape[0]
     table = np.eye(n, dtype=complex)[None]
     for T, width in zip(tup.matrices, C.shape[1:]):
@@ -169,7 +174,7 @@ def _function_values(tup, polys):
         for _ in range(width - 1):
             powers.append(powers[-1] @ T)
         table = (table[:, None] @ np.stack(powers)[None]).reshape(-1, n, n)
-    values = C.reshape(len(polys), -1) @ table.reshape(len(table), n * n)
+    values = C.reshape(len(C), -1) @ table.reshape(len(table), n * n)
     return values.reshape(-1, n, n)
 
 
@@ -250,34 +255,53 @@ def von_neumann_check(tup, samples=VN_SAMPLES, seed=0):
     """Largest ||p(T)|| / sup_torus |p| over random polynomials.
 
     Samples mix dense Gaussian polynomials with Taylor truncations of
-    random transfer functions.  All samples are drawn first; their torus
-    suprema then come from one batched sup_on_torus call (a grid scan
-    plus a shared local refinement; the grid resolution is recorded on
-    the report) and their ||p(T)|| from one contraction of the monomial
-    table (_function_values) and one batched SVD.  Samples with zero
-    supremum are skipped; the worst function is the first sample of the
-    largest ratio, and with no sample left the ratio is -inf and the
-    worst function None.
+    random transfer functions; samples must be a nonnegative integer.
+    Their ||p(T)|| come from one contraction of the monomial table
+    (_function_values) and one batched SVD.  The zero polynomial is
+    skipped; the worst function is the first sample of the largest
+    ratio, and with no sample left the ratio is -inf and the worst
+    function None.  The grid resolution of the suprema is recorded on
+    the report.
+
+    Only the samples that can still be the worst get an exact supremum.
+    Each sample's supremum is bounded below by max |p| on a sub-lattice
+    of the torus grid (_torus_lower_bounds, batched), so
+    norm / bound bounds its ratio from above (infinite for a zero
+    bound).  The samples are visited by decreasing bound, and each gets
+    the supremum sup_on_torus would give it in the whole batch, until
+    the bound falls below (1 - VN_PRUNE_RTOL) times the largest ratio
+    found.  The computed supremum falls below the lower bound by
+    rounding only, far less than VN_PRUNE_RTOL, so no sample left out
+    can reach the largest ratio, and the report equals the exhaustive
+    check's bit for bit.
     """
+    if isinstance(samples, bool) or not isinstance(samples, (int, np.integer)):
+        raise DomainError(f"samples must be an integer, got {samples!r}")
+    if samples < 0:
+        raise DomainError(f"samples must be nonnegative, got {samples}")
     rng = np.random.default_rng(seed)
     polys = [
         _sample_test_polynomial(rng, tup.d, VN_MAX_DEGREE)
         for _s in range(samples)
     ]
-    sups = sup_on_torus(polys)
-    kept = np.flatnonzero(sups > 0.0)
+    kept = [p for p in polys if p.coeffs]
     worst = -np.inf
-    worst_p = None
-    if len(kept):
-        values = _function_values(tup, [polys[i] for i in kept])
-        norms = np.linalg.svd(values, compute_uv=False)[:, 0]
-        ratios = norms / sups[kept]
-        i = int(np.argmax(ratios))
-        worst = float(ratios[i])
-        worst_p = polys[kept[i]]
+    worst_i = None
+    if kept:
+        C = _coefficient_stack(kept)
+        norms = np.linalg.svd(_function_values(tup, C), compute_uv=False)[:, 0]
+        low = _torus_lower_bounds(C)
+        bounds = np.divide(norms, low, out=np.full(len(kept), np.inf), where=low > 0.0)
+        shape = _refine_shape(kept)
+        for i in np.argsort(-bounds, kind="stable"):
+            if bounds[i] < worst * (1.0 - VN_PRUNE_RTOL):
+                break
+            ratio = norms[i] / _torus_suprema([kept[i]], shape)[0]
+            if ratio > worst or (ratio == worst and i < worst_i):
+                worst, worst_i = float(ratio), i
     return VNReport(
         max_ratio=worst,
-        worst_function=worst_p,
+        worst_function=None if worst_i is None else kept[worst_i],
         samples=samples,
         grid=effective_torus_grid(tup.d),
     )

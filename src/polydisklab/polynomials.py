@@ -11,10 +11,14 @@ refined in rounds shared by the whole batch: each round evaluates a
 local tensor grid around every window, a fixed-size block of windows at
 a time.  The grid and the windows come from one kernel, which contracts
 per-axis tables of exp(i a theta) with the coefficient tensors,
-zero-padded to one shape in a batch.
+zero-padded to one shape in a batch.  The same kernel on a coarse
+sub-lattice of the grid gives cheap lower bounds on the suprema.
 """
 
 from __future__ import annotations
+
+import cmath
+import itertools
 
 import numpy as np
 
@@ -27,6 +31,9 @@ MAX_DEGREE = 12
 # grid points per axis, and the factor of each shrink.
 TORUS_GRID = 128
 TORUS_GRID_CAP = 2 ** 21
+# Lower bounds on the supremum (_torus_lower_bounds): grid points per
+# axis of the sub-lattice, a divisor of every effective grid.
+LOW_GRID = 16
 REFINE_CANDIDATES = 12
 REFINE_STAGES = 14
 REFINE_POINTS = 9
@@ -85,15 +92,15 @@ class Polynomial:
         self.d = d
         clean = {}
         for expo, c in (coeffs or {}).items():
-            expo = tuple(int(a) for a in expo)
+            expo = tuple(map(int, expo))
             if len(expo) != d:
                 raise DomainError(
                     f"exponent {expo} does not match {d} variables"
                 )
-            if any(a < 0 for a in expo):
+            if min(expo) < 0:
                 raise DomainError(f"negative exponent in {expo}")
             c = complex(c)
-            if not np.isfinite(c):
+            if not cmath.isfinite(c):
                 raise DomainError(f"coefficient {c} of {expo} is not finite")
             if abs(c) <= _COEFF_CHOP:
                 continue
@@ -248,28 +255,34 @@ def monomial(d, expo, coeff=1.0):
 
 
 def random_polynomial(rng, d, degree, scale=1.0):
-    """Dense random polynomial with complex Gaussian coefficients."""
-    coeffs = {}
+    """Dense random polynomial with complex Gaussian coefficients.
 
-    def fill(prefix, remaining):
-        if len(prefix) == d:
-            coeffs[tuple(prefix)] = scale * (
-                rng.normal() + 1j * rng.normal()
-            )
-            return
-        for a in range(remaining + 1):
-            fill(prefix + [a], remaining - a)
-
-    fill([], degree)
+    The exponents of total degree <= degree are visited in lexicographic
+    order, and each coefficient draws its real part, then its imaginary
+    part."""
+    expos = [
+        e for e in itertools.product(range(degree + 1), repeat=d)
+        if sum(e) <= degree
+    ]
+    draws = iter(rng.normal(size=2 * len(expos)).tolist())
+    coeffs = {e: scale * (re + 1j * im) for e, re, im in zip(expos, draws, draws)}
     return Polynomial(d, coeffs)
 
 
-def _coefficient_stack(polys):
+def _stack_shape(polys):
+    """The shape _coefficient_stack pads polys to: the largest degree in
+    each variable, plus one."""
+    degrees = [(0,) * polys[0].d]
+    degrees += [tuple(map(max, zip(*p.coeffs))) for p in polys if p.coeffs]
+    return tuple(max(col) + 1 for col in zip(*degrees))
+
+
+def _coefficient_stack(polys, shape=None):
     """Coefficient tensors of polynomials in the same d, zero-padded to
-    one shape: C[i, a_0, ..., a_{d-1}] is the coefficient of z^a in
-    polys[i]."""
-    d = polys[0].d
-    shape = tuple(max(p.degree_in(k) for p in polys) + 1 for k in range(d))
+    one shape, by default _stack_shape(polys): C[i, a_0, ..., a_{d-1}]
+    is the coefficient of z^a in polys[i]."""
+    if shape is None:
+        shape = _stack_shape(polys)
     C = np.zeros((len(polys),) + shape, dtype=complex)
     for i, p in enumerate(polys):
         if p.coeffs:
@@ -347,9 +360,13 @@ def sup_on_torus(p):
     or after 2 * REFINE_STAGES rounds; its windows then leave the batch.
     So each supremum is the refinement its polynomial gets on its own:
     bit for bit when the batch shares one coefficient shape, else within
-    the rounding of the padded contraction (1e-15 relative).  A window
-    at every best grid point would give no smaller value, and on 7060
-    draws at most 1.4e-15 relative larger.
+    the rounding of the padded contraction (1e-15 relative).  The batch
+    enters only through that padded shape, so _torus_suprema can give
+    one sample of a batch the same bits without the rest; that is how
+    von_neumann_check takes exact suprema only for the samples that can
+    still be its worst, with _torus_lower_bounds bounding the others.  A
+    window at every best grid point would give no smaller value, and on
+    7060 draws at most 1.4e-15 relative larger.
 
     Measured against certified brackets from a branch and bound on
     |p|^2 (tests/test_polynomials.py), no result fell short of the
@@ -363,6 +380,23 @@ def sup_on_torus(p):
     polys = [p] if single else list(p)
     if len({q.d for q in polys}) > 1:
         raise DomainError("polynomials of one batch must share their variable count")
+    best = _torus_suprema(polys, _refine_shape(polys))
+    return float(best[0]) if single else best
+
+
+def _refine_shape(polys):
+    """The shape sup_on_torus pads the refinement of the batch polys to:
+    the _stack_shape of its polynomials with more than one term, or None
+    when it has none."""
+    multi = [q for q in polys if len(q.coeffs) > 1]
+    return _stack_shape(multi) if multi else None
+
+
+def _torus_suprema(polys, shape):
+    """sup_on_torus of each of polys, the refinement's coefficient stack
+    padded to shape (a _refine_shape of a batch holding polys).  A
+    polynomial's supremum depends on the batch only through shape, so a
+    sample of a batch gets the supremum the whole batch would give it."""
     best = np.zeros(len(polys))
     refined = []
     for i, q in enumerate(polys):
@@ -371,8 +405,40 @@ def sup_on_torus(p):
         elif q.coeffs:
             refined.append(i)
     if refined:
-        best[refined] = _refined_suprema([polys[i] for i in refined])
-    return float(best[0]) if single else best
+        best[refined] = _refined_suprema([polys[i] for i in refined], shape)
+    return best
+
+
+def _torus_lower_bounds(C):
+    """A lower bound on the supremum of |p| on the torus for each p of
+    the coefficient stack C (see _coefficient_stack): max |p| over the
+    sub-lattice of sup_on_torus's grid that takes every
+    (grid / LOW_GRID)-th angle, LOW_GRID^d points.  The batch shares
+    _local_grid_values calls of at most grid^d points each, the size of
+    one grid scan of sup_on_torus, so the bounds need no more memory
+    than one supremum.
+
+    Each value is attained on the torus, so it bounds the supremum from
+    below.  sup_on_torus starts from the maximum over its whole grid,
+    which holds the sub-lattice, so its result can fall below the bound
+    by the rounding of the two contractions only.  That rounding is a
+    few ulps of the sum of the coefficients' moduli, while the grid
+    maximum is at least the root of the sum of their squares (the mean
+    of |p|^2 over a grid finer than the degree), so the gap stays below
+    1e-11 relative at every degree up to MAX_DEGREE.
+    """
+    d = C.ndim - 1
+    grid = effective_torus_grid(d)
+    angles = (np.arange(grid) * (2.0 * np.pi / grid))[:: grid // LOW_GRID]
+    width = max(C.shape[1:])
+    offsets = _phases(angles, width)
+    block = (grid // LOW_GRID) ** d
+    low = np.empty(len(C))
+    for start in range(0, len(C), block):
+        Cb = C[start:start + block]
+        vals = _local_grid_values(Cb, _phases(np.zeros((len(Cb), d)), width), offsets)
+        low[start:start + block] = np.abs(vals).reshape(len(Cb), -1).max(axis=1)
+    return low
 
 
 def _grid_candidates(p):
@@ -400,8 +466,9 @@ def _grid_candidates(p):
     return angles[centers[peaks]], float(vals.max())
 
 
-def _refined_suprema(polys):
-    """The grid scan and the batched window refinement of sup_on_torus."""
+def _refined_suprema(polys, shape):
+    """The grid scan and the batched window refinement of sup_on_torus,
+    on the coefficient stack of polys padded to shape."""
     d = polys[0].d
     grid = effective_torus_grid(d)
     scans = [_grid_candidates(p) for p in polys]
@@ -409,7 +476,7 @@ def _refined_suprema(polys):
     owner = np.repeat(np.arange(len(polys)), [len(t) for t, _ in scans])
     best = np.array([b for _, b in scans])
 
-    C = _coefficient_stack(polys)
+    C = _coefficient_stack(polys, shape)
     width = max(C.shape[1:])
     offsets = np.linspace(-1.0, 1.0, REFINE_POINTS)
     strides = REFINE_POINTS ** np.arange(d - 1, -1, -1)

@@ -349,6 +349,18 @@ class TestCircleImage:
         with pytest.raises(DomainError):
             circle_image_test(builtin_v0(), phi, report09.data)
 
+    @pytest.mark.parametrize("c, refused", [(1.001, True), (1.0, False)])
+    def test_polynomial_modulus_is_checked_on_the_torus(self, report09, c, refused):
+        # c (z1 + z2) / 2 has torus supremum c; |phi| on 4096 random
+        # interior points stays below 1.001, so only the torus sees it
+        phi = Polynomial(3, {(1, 0, 0): c / 2, (0, 1, 0): c / 2})
+        if refused:
+            with pytest.raises(DomainError, match="torus"):
+                circle_image_test(builtin_v0(), phi, report09.data)
+        else:
+            res = circle_image_test(builtin_v0(), phi, report09.data)
+            assert not res.is_extremal_evidence
+
     def test_dimension_mismatch(self):
         phi = Polynomial(2, {(1, 0): 1.0})
         with pytest.raises(DomainError):

@@ -501,3 +501,34 @@ class TestParserBehavior:
         argv = [a.format(disk=disk_problem, tmp=tmp_path) for a in argv]
         assert main(argv) == 1
         assert not (tmp_path / "r.json").exists()
+
+    def test_parser_is_reused_unchanged(self, disk_problem, tmp_path, capsys):
+        # main() keeps one parser per process; neither a run nor a usage
+        # error may leave anything behind that changes the next run
+        run = [
+            ["pick-solve", disk_problem, "--json"],
+            ["variety", "retract", "builtin:v0", "--json", "--seed", "3"],
+            ["experiment", "exg1", "--m", "0.7", "--json",
+             "--out-dir", str(tmp_path / "exg1")],
+        ]
+        failing = [
+            ["pick-solve", disk_problem, "--frob"],
+            ["variety", "retract", "builtin:v0", "--resolution", "0"],
+            ["experiment", "exg1", "--m", "0.7", "--samples", "x"],
+            [],
+        ]
+
+        def outcome(argv):
+            code = main(argv)
+            captured = capsys.readouterr()
+            return code, captured.out, captured.err
+
+        for argv in run:
+            first = outcome(argv)
+            assert first[0] == 0
+            assert outcome(argv) == first
+            for bad in failing:
+                code, out, err = outcome(bad)
+                assert code == 1 and out == "" and err.startswith("error:")
+                assert outcome(argv) == first
+        assert labcli._shared_parser() is labcli._shared_parser()

@@ -26,8 +26,9 @@ from polydisklab.errors import (
     DomainError,
     UndecidedError,
 )
+from polydisklab import operators
 from polydisklab._serialize import dumps_canonical
-from polydisklab.polynomials import effective_torus_grid
+from polydisklab.polynomials import _coefficient_stack, effective_torus_grid
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
@@ -43,6 +44,18 @@ def optimal_kernel():
 @pytest.fixture(scope="module")
 def canonical_tuple(optimal_kernel):
     return build_tuple_from_kernel(optimal_kernel, CANONICAL.nodes)
+
+
+def _random_tuple(rng, d):
+    """The tuple of a random unit-diagonal PD kernel on 2-4 random nodes."""
+    n = int(rng.integers(2, 5))
+    A = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    K = A @ A.conj().T + n * np.eye(n)
+    dg = np.sqrt(np.diag(K).real)
+    r = 0.8 * np.sqrt(rng.random((n, d)))
+    th = 2 * np.pi * rng.random((n, d))
+    nodes = tuple(tuple(r[i] * np.exp(1j * th[i])) for i in range(n))
+    return build_tuple_from_kernel(K / np.outer(dg, dg), nodes)
 
 
 class TestBuildTuple:
@@ -64,16 +77,7 @@ class TestBuildTuple:
     def test_random_pd_kernels(self):
         rng = np.random.default_rng(9)
         for _ in range(10):
-            n = int(rng.integers(2, 5))
-            A = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-            K = A @ A.conj().T + n * np.eye(n)
-            dg = np.sqrt(np.diag(K).real)
-            K = K / np.outer(dg, dg)
-            r = 0.8 * np.sqrt(rng.random((n, 2)))
-            th = 2 * np.pi * rng.random((n, 2))
-            nodes = tuple(tuple(r[i] * np.exp(1j * th[i])) for i in range(n))
-            tup = build_tuple_from_kernel(K, nodes)
-            res = tup.verify()
+            res = _random_tuple(rng, 2).verify()
             assert res["commutation_residual"] <= 1e-10
             assert res["gram_residual"] <= 1e-10
 
@@ -175,6 +179,101 @@ class TestVonNeumann:
             "sample_schur_agler_function": values,
         })
         assert got == (GOLDEN / "colligation_draws.json").read_text()
+
+
+def _sample_suprema(d, samples, seed):
+    """The samples of von_neumann_check and the supremum of each, from
+    one sup_on_torus call on the whole batch."""
+    rng = np.random.default_rng(seed)
+    polys = [
+        operators._sample_test_polynomial(rng, d, operators.VN_MAX_DEGREE)
+        for _s in range(samples)
+    ]
+    return polys, sup_on_torus(polys)
+
+
+def _exhaustive_check(tup, polys, sups):
+    """von_neumann_check without pruning: every ratio from the exact
+    suprema, then the first sample of the largest."""
+    kept = np.flatnonzero(sups > 0.0)
+    C = _coefficient_stack([polys[i] for i in kept])
+    norms = np.linalg.svd(operators._function_values(tup, C), compute_uv=False)[:, 0]
+    ratios = norms / sups[kept]
+    i = int(np.argmax(ratios))
+    return float(ratios[i]), polys[kept[i]]
+
+
+class TestPrunedVonNeumann:
+    """The pruned check against the exhaustive one, bit for bit."""
+
+    def _assert_same(self, tup, samples, seed, oracle):
+        report = von_neumann_check(tup, samples=samples, seed=seed)
+        ratio, worst = _exhaustive_check(tup, *oracle)
+        assert report.max_ratio.hex() == ratio.hex()
+        assert report.worst_function.coeffs == worst.coeffs
+
+    @pytest.mark.parametrize("d, tuples, seeds, samples", [
+        (2, 8, 8, 60),
+        (3, 4, 4, 12),
+    ])
+    def test_matches_the_exhaustive_check(self, canonical_tuple, d, tuples, seeds,
+                                          samples):
+        # the samples, and so the oracle's suprema, depend on the seed only
+        rng = np.random.default_rng(100 + d)
+        tups = [_random_tuple(rng, d) for _ in range(tuples)]
+        if d == 2:
+            tups[0] = canonical_tuple
+        for seed in range(seeds):
+            oracle = _sample_suprema(d, samples, seed)
+            for tup in tups:
+                self._assert_same(tup, samples, seed, oracle)
+
+    def test_zero_and_one_term_samples(self, canonical_tuple, monkeypatch):
+        # a quarter of the samples become the zero polynomial and another
+        # quarter keep their largest term only (chosen from the same rng)
+        draw = operators._sample_test_polynomial
+
+        def mixed(rng, d, max_degree):
+            p = draw(rng, d, max_degree)
+            k = rng.integers(12)
+            if k % 4 == 0:
+                return Polynomial(d)
+            if k % 3 == 0:
+                e, c = max(p.coeffs.items(), key=lambda item: abs(item[1]))
+                return Polynomial(d, {e: c})
+            return p
+
+        monkeypatch.setattr(operators, "_sample_test_polynomial", mixed)
+        rng = np.random.default_rng(7)
+        tups = [canonical_tuple] + [_random_tuple(rng, 2) for _ in range(3)]
+        for seed in range(4):
+            oracle = _sample_suprema(2, 40, seed)
+            assert any(len(p.coeffs) == 1 for p in oracle[0])
+            assert any(not p.coeffs for p in oracle[0])
+            for tup in tups:
+                self._assert_same(tup, 40, seed, oracle)
+
+    def test_few_samples_get_an_exact_supremum(self, canonical_tuple, monkeypatch):
+        calls = []
+        exact = operators._torus_suprema
+
+        def counted(polys, shape):
+            calls.append(len(polys))
+            return exact(polys, shape)
+
+        monkeypatch.setattr(operators, "_torus_suprema", counted)
+        von_neumann_check(canonical_tuple, samples=1000, seed=105)
+        assert 1 <= sum(calls) < 50
+
+    @pytest.mark.parametrize("samples", [-3, 2.5, "10", True, None])
+    def test_samples_must_be_a_nonnegative_integer(self, canonical_tuple, samples):
+        with pytest.raises(DomainError):
+            von_neumann_check(canonical_tuple, samples=samples)
+
+    def test_numpy_integer_samples(self, canonical_tuple):
+        report = von_neumann_check(canonical_tuple, samples=np.int64(1), seed=3)
+        assert report.max_ratio == von_neumann_check(
+            canonical_tuple, samples=1, seed=3).max_ratio
 
 
 class TestViolationWitness:
