@@ -558,20 +558,32 @@ def _random_blaschke_factor(rng):
     return BlaschkeProduct(zeros=zeros, unimodular_constant=const, scale=1.0)
 
 
-def _random_colligation(rng, d, max_block):
-    """Random unitary colligation [[A, B], [C, D]] of size q + 1.
+def _draw_colligation(rng, d, max_block):
+    """The random draws of a unitary colligation of size q + 1.
 
-    Coordinate r owns a block of 1..max_block state dimensions.  Returns
-    (A, B, C, D, reps) with reps[i] the coordinate of state dimension i,
-    so Delta(z) = diag(z[reps]).
+    Coordinate r owns a block of blocks[r] = 1..max_block state
+    dimensions, q = sum(blocks).  Returns (blocks, Z) with Z a complex
+    Gaussian (q + 1) x (q + 1) matrix; _unitary_colligations turns it
+    into the colligation.
     """
-    blocks = [int(rng.integers(1, max_block + 1)) for _ in range(d)]
+    blocks = tuple(int(rng.integers(1, max_block + 1)) for _ in range(d))
     q = sum(blocks)
     Z = rng.normal(size=(q + 1, q + 1)) + 1j * rng.normal(size=(q + 1, q + 1))
+    return blocks, Z
+
+
+def _unitary_colligations(Z):
+    """The unitary colligations [[A, B], [C, D]] of a stack of drawn Z.
+
+    Each is the Q factor of Z with its columns phased so that R has a
+    positive diagonal; a stack of Z of one size takes one np.linalg.qr
+    call, which factors each matrix as a call on it alone would.
+    Returns (A, B, C, D) as views of the stacked Q.
+    """
     Q, Rm = np.linalg.qr(Z)
-    Q = Q * (np.diag(Rm) / np.abs(np.diag(Rm)))[None, :]
-    reps = np.concatenate([[r] * blocks[r] for r in range(d)])
-    return Q[0, 0], Q[0, 1:], Q[1:, 0], Q[1:, 1:], reps
+    diag = np.diagonal(Rm, axis1=-2, axis2=-1)
+    Q = Q * (diag / np.abs(diag))[..., None, :]
+    return Q[..., 0, 0], Q[..., 0, 1:], Q[..., 1:, 0], Q[..., 1:, 1:]
 
 
 def _random_transfer_function(rng, d):
@@ -581,7 +593,9 @@ def _random_transfer_function(rng, d):
     block-diagonal coordinate matrix; always in the Schur-Agler unit
     ball.
     """
-    A, Bv, Cv, Dm, reps = _random_colligation(rng, d, 3)
+    blocks, Z = _draw_colligation(rng, d, 3)
+    A, Bv, Cv, Dm = _unitary_colligations(Z)
+    reps = np.repeat(np.arange(d), blocks)
     q = len(reps)
 
     def phi(point):

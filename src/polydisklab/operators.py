@@ -12,16 +12,28 @@ norm-1 extension.
 von_neumann_check compares ||p(T)|| against the supremum of |p| on the
 unit torus over random polynomial samples; for pairs of commuting
 contractions the ratio never exceeds 1, so any excess beyond roundoff is
-a genuine counterexample candidate.
+a genuine counterexample candidate.  The samples are drawn straight
+into one coefficient tensor (_draw_samples): the Taylor truncations of
+random transfer functions take one QR per colligation size and one
+recurrence on stacked state vectors, and a Polynomial is built only for
+the few samples that get an exact supremum.
 """
 
 from __future__ import annotations
 
+import cmath
 import dataclasses
+import functools
 
 import numpy as np
 
-from .agler import DualKernel, Feasible, _random_colligation, agler_feasible
+from .agler import (
+    DualKernel,
+    Feasible,
+    _draw_colligation,
+    _unitary_colligations,
+    agler_feasible,
+)
 from .errors import (
     ConditioningError,
     DimensionMismatchError,
@@ -29,13 +41,13 @@ from .errors import (
     UndecidedError,
 )
 from .polynomials import (
+    _COEFF_CHOP,
     Polynomial,
     _coefficient_stack,
-    _refine_shape,
+    _dense_exponents,
     _torus_lower_bounds,
     _torus_suprema,
     effective_torus_grid,
-    random_polynomial,
 )
 
 # Construction invariants (joint eigenvalues, commutation, Gram match)
@@ -109,6 +121,11 @@ def build_tuple_from_kernel(K, nodes):
         raise DimensionMismatchError(
             f"kernel is {n} x {n} but {len(nodes)} nodes were given"
         )
+    if not np.isfinite(K).all():
+        raise DomainError("kernel entries must be finite")
+    pts = tuple(tuple(complex(c) for c in p) for p in nodes)
+    if not all(cmath.isfinite(c) for p in pts for c in p):
+        raise DomainError("node coordinates must be finite")
     if np.abs(K - K.conj().T).max() > 1e-12:
         raise DomainError("kernel must be Hermitian")
     lam_min = float(np.linalg.eigvalsh(K).min())
@@ -117,7 +134,6 @@ def build_tuple_from_kernel(K, nodes):
             f"kernel minimal eigenvalue {lam_min:.3e} is below the "
             f"{KERNEL_RANK_TOL} floor; eigenvector model is unreliable"
         )
-    pts = tuple(tuple(complex(c) for c in p) for p in nodes)
     d = len(pts[0])
     if any(len(p) != d for p in pts):
         raise DimensionMismatchError("nodes have mixed dimensions")
@@ -143,6 +159,8 @@ def apply_node_values(tup, values):
     values = np.asarray(values, dtype=complex)
     if values.shape != (len(tup.nodes),):
         raise DimensionMismatchError("need one value per node")
+    if not np.isfinite(values).all():
+        raise DomainError("node values must be finite")
     V = tup.gram_vectors
     return V @ np.diag(values) @ np.linalg.inv(V)
 
@@ -195,50 +213,140 @@ def defect_identity_residual(tup, p, c):
     return abs(lhs - rhs)
 
 
-def _transfer_taylor(rng, d, degree):
-    """Polynomial Taylor truncation of a random transfer function.
+def _draw_samples(rng, d, samples, max_degree):
+    """The samples of von_neumann_check, as one coefficient tensor.
 
-    Expands phi(z) = A + B Delta (I - D Delta)^{-1} C as a sum over
-    coordinate words and keeps total degree <= degree.
+    Each sample is, with probability 0.7, a dense Gaussian polynomial of
+    degree uniform in 1..max_degree, drawn as random_polynomial draws
+    it, else the Taylor truncation to degree max_degree of a random
+    transfer function (_taylor_stack).  The rng calls go sample by
+    sample, so a batch of N uses the stream exactly as N batches of one.
+
+    Returns the (samples, max_degree + 1, ..., max_degree + 1) tensor,
+    whose entry [i, a] is the coefficient of z^a in sample i as
+    Polynomial would hold it (0.0 added, and zero where its modulus is
+    at most _COEFF_CHOP), and a flag per sample marking the truncations,
+    which _sample_polynomial needs for the order of the terms.
     """
-    A, Bv, Cv, Dm, reps = _random_colligation(rng, d, 2)
-    masks = [reps == r for r in range(d)]
+    widths = (max_degree + 1,) * d
+    dense = {}
+    colligations = []
+    taylor = np.zeros(samples, dtype=bool)
+    for i in range(samples):
+        if rng.uniform() < 0.7:
+            degree = int(rng.integers(1, max_degree + 1))
+            rows, draws = dense.setdefault(degree, ([], []))
+            rows.append(i)
+            draws.append(rng.normal(size=2 * len(_dense_exponents(d, degree))))
+        else:
+            taylor[i] = True
+            colligations.append(_draw_colligation(rng, d, 2))
+    C = np.zeros((samples,) + widths, dtype=complex)
+    flat = C.reshape(samples, (max_degree + 1) ** d)
+    for degree, (rows, draws) in dense.items():
+        draws = np.array(draws)
+        at = np.ravel_multi_index(np.array(_dense_exponents(d, degree)).T, widths)
+        flat[np.array(rows)[:, None], at] = draws[:, 0::2] + 1j * draws[:, 1::2]
+    C[taylor] = _taylor_stack(colligations, d, max_degree)
+    C += 0.0
+    C[np.hypot(C.real, C.imag) <= _COEFF_CHOP] = 0.0
+    return C, taylor
 
-    coeffs = {(0,) * d: A}
-    # state[expo] = accumulated row vector B E_{r1} D E_{r2} ... D E_{rm}
-    state = {}
-    for r in range(d):
-        e = [0] * d
-        e[r] = 1
-        state[tuple(e)] = Bv * masks[r]
+
+def _taylor_stack(colligations, d, degree):
+    """Taylor truncations of the transfer functions of drawn colligations.
+
+    Each (blocks, Z) of colligations (see agler._draw_colligation) gives
+    phi(z) = A + B Delta (I - D Delta)^{-1} C, which expands as a sum
+    over coordinate words: r_1 ... r_m adds B E_{r_1} D E_{r_2} ... D
+    E_{r_m} C to the coefficient of z^a, a counting the letters of the
+    word and E_r the projection on coordinate r's block.  The state of
+    an exponent a is the sum of the row vectors B E_{r_1} ... D E_{r_m}
+    over the words of a, so on block r it is the state of a - e_r times
+    D (B for a = e_r), and zero when a has no letter r.  Returns the
+    coefficients of total degree <= degree as a
+    (len(colligations), degree + 1, ..., degree + 1) tensor.
+
+    The colligations are grouped by block sizes.  A group takes one
+    stacked QR, and then per level one matmul for its coefficients and
+    one for the states of the next level, which are gathered blockwise.
+    Each (sample, state) row is its own 1 x q matmul core, so it is
+    rounded as the product of that row alone.  A sum over the words
+    would add exact zeros only, since the blocks are disjoint, so the
+    coefficients are those of that sum bit for bit.
+    """
+    C = np.zeros((len(colligations),) + (degree + 1,) * d, dtype=complex)
+    flat = C.reshape(len(C), (degree + 1) ** d)
+    levels, parents, _order = _taylor_words(d, degree)
+    groups = {}
+    for i, (blocks, _Z) in enumerate(colligations):
+        groups.setdefault(blocks, []).append(i)
+    for blocks, rows in groups.items():
+        rows = np.array(rows)
+        A, Bv, Cv, Dm = _unitary_colligations(np.stack([colligations[i][1] for i in rows]))
+        reps = np.repeat(np.arange(d), blocks)
+        flat[rows, 0] = A
+        # the level below, each state times D; for level 1, B
+        below = Bv[:, None, :]
+        for level, at in enumerate(levels):
+            below = np.concatenate([below, np.zeros_like(below[:, :1])], axis=1)
+            # contiguous rows: a strided row takes another matmul kernel,
+            # which rounds differently
+            state = np.ascontiguousarray(below[:, parents[level][:, reps], np.arange(len(reps))])
+            flat[rows[:, None], at] = (state[:, :, None, :] @ Cv[:, None, :, None])[..., 0, 0]
+            if level < degree - 1:
+                below = (state[:, :, None, :] @ Dm[:, None])[:, :, 0]
+    return C
+
+
+@functools.lru_cache(maxsize=None)
+def _taylor_words(d, degree):
+    """The bookkeeping of _taylor_stack, which depends on d and degree.
+
+    Level m = 1..degree holds one state per exponent of total degree m,
+    in the order the words reach them: level m the exponents a + e_r as
+    they arise from the states a of level m - 1 in order, r = 0..d-1
+    for each, level 0 holding the constant.  Returns
+    (levels, parents, order): levels[m - 1] holds the positions of level
+    m's exponents in a flattened (degree + 1,)*d tensor; parents[m - 1]
+    [t, r] is the index of a - e_r at level m - 1 for the exponent a of
+    state t, or the number of states of level m - 1 when a_r = 0; order
+    holds every exponent in the order of the levels.
+    """
+    widths = (degree + 1,) * d
+    state = [(0,) * d]
+    order, levels, parents = list(state), [], []
     for _level in range(degree):
-        for e, u in state.items():
-            coeffs[e] = coeffs.get(e, 0.0) + u @ Cv
-        if _level == degree - 1:
-            break
-        nxt = {}
-        for e, u in state.items():
-            uD = u @ Dm
+        index = {}
+        for e in state:
             for r in range(d):
-                e2 = list(e)
-                e2[r] += 1
-                key = tuple(e2)
-                add = uD * masks[r]
-                if key in nxt:
-                    nxt[key] = nxt[key] + add
-                else:
-                    nxt[key] = add
-        state = nxt
-    return Polynomial(d, coeffs)
+                index.setdefault(e[:r] + (e[r] + 1,) + e[r + 1:], len(index))
+        previous = {e: i for i, e in enumerate(state)}
+        state = list(index)
+        parents.append(np.array([
+            [previous.get(e[:r] + (e[r] - 1,) + e[r + 1:], len(previous)) for r in range(d)]
+            for e in state
+        ]))
+        levels.append(np.ravel_multi_index(np.array(state).T, widths))
+        order += state
+    return tuple(levels), tuple(parents), tuple(order)
 
 
-def _sample_test_polynomial(rng, d, max_degree):
-    """One sample of von_neumann_check: with probability 0.7 a dense
-    Gaussian polynomial of degree uniform in 1..max_degree, else a Taylor
-    truncation of a random transfer function."""
-    if rng.uniform() < 0.7:
-        return random_polynomial(rng, d, int(rng.integers(1, max_degree + 1)))
-    return _transfer_taylor(rng, d, max_degree)
+def _sample_polynomial(row, taylor):
+    """The Polynomial of one sample of _draw_samples (or one row of
+    _taylor_stack, taylor set), its terms inserted in the order of the
+    per-sample draw: the lexicographic order of random_polynomial, or
+    the order of _taylor_words."""
+    d, degree = row.ndim, row.shape[0] - 1
+    order = _taylor_words(d, degree)[2] if taylor else _dense_exponents(d, degree)
+    return Polynomial(d, {e: row[e] for e in order})
+
+
+def _nonzero_shape(nonzero):
+    """_stack_shape of the polynomials whose nonzero coefficients are
+    the True entries of the rows of the boolean tensor nonzero."""
+    top = np.argwhere(nonzero)[:, 1:].max(axis=0, initial=0)
+    return tuple(int(a) + 1 for a in top)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -256,6 +364,8 @@ def von_neumann_check(tup, samples=VN_SAMPLES, seed=0):
 
     Samples mix dense Gaussian polynomials with Taylor truncations of
     random transfer functions; samples must be a nonnegative integer.
+    They are drawn as one coefficient tensor (_draw_samples), equal bit
+    for bit to the coefficients of drawing one Polynomial at a time.
     Their ||p(T)|| come from one contraction of the monomial table
     (_function_values) and one batched SVD.  The zero polynomial is
     skipped; the worst function is the first sample of the largest
@@ -270,38 +380,40 @@ def von_neumann_check(tup, samples=VN_SAMPLES, seed=0):
     bound).  The samples are visited by decreasing bound, and each gets
     the supremum sup_on_torus would give it in the whole batch, until
     the bound falls below (1 - VN_PRUNE_RTOL) times the largest ratio
-    found.  The computed supremum falls below the lower bound by
-    rounding only, far less than VN_PRUNE_RTOL, so no sample left out
-    can reach the largest ratio, and the report equals the exhaustive
-    check's bit for bit.
+    found; only these samples become Polynomials.  The computed
+    supremum falls below the lower bound by rounding only, far less than
+    VN_PRUNE_RTOL, so no sample left out can reach the largest ratio,
+    and the report equals the exhaustive check's bit for bit.
     """
     if isinstance(samples, bool) or not isinstance(samples, (int, np.integer)):
         raise DomainError(f"samples must be an integer, got {samples!r}")
     if samples < 0:
         raise DomainError(f"samples must be nonnegative, got {samples}")
     rng = np.random.default_rng(seed)
-    polys = [
-        _sample_test_polynomial(rng, tup.d, VN_MAX_DEGREE)
-        for _s in range(samples)
-    ]
-    kept = [p for p in polys if p.coeffs]
+    stack, taylor = _draw_samples(rng, tup.d, samples, VN_MAX_DEGREE)
+    nonzero = stack != 0.0
+    terms = np.count_nonzero(nonzero, axis=tuple(range(1, stack.ndim)))
+    kept = np.flatnonzero(terms)
     worst = -np.inf
-    worst_i = None
-    if kept:
-        C = _coefficient_stack(kept)
+    worst_i = worst_function = None
+    if len(kept):
+        box = tuple(slice(0, n) for n in _nonzero_shape(nonzero))
+        C = stack[(kept,) + box]
         norms = np.linalg.svd(_function_values(tup, C), compute_uv=False)[:, 0]
         low = _torus_lower_bounds(C)
         bounds = np.divide(norms, low, out=np.full(len(kept), np.inf), where=low > 0.0)
-        shape = _refine_shape(kept)
+        multi = terms > 1
+        shape = _nonzero_shape(nonzero[multi]) if multi.any() else None
         for i in np.argsort(-bounds, kind="stable"):
             if bounds[i] < worst * (1.0 - VN_PRUNE_RTOL):
                 break
-            ratio = norms[i] / _torus_suprema([kept[i]], shape)[0]
+            p = _sample_polynomial(stack[kept[i]], taylor[kept[i]])
+            ratio = norms[i] / _torus_suprema([p], shape)[0]
             if ratio > worst or (ratio == worst and i < worst_i):
-                worst, worst_i = float(ratio), i
+                worst, worst_i, worst_function = float(ratio), i, p
     return VNReport(
         max_ratio=worst,
-        worst_function=None if worst_i is None else kept[worst_i],
+        worst_function=worst_function,
         samples=samples,
         grid=effective_torus_grid(tup.d),
     )

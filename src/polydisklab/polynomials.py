@@ -18,6 +18,7 @@ sub-lattice of the grid gives cheap lower bounds on the suprema.
 from __future__ import annotations
 
 import cmath
+import functools
 import itertools
 
 import numpy as np
@@ -254,16 +255,23 @@ def monomial(d, expo, coeff=1.0):
     return Polynomial(d, {tuple(expo): coeff})
 
 
+@functools.lru_cache(maxsize=None)
+def _dense_exponents(d, degree):
+    """The exponents of total degree <= degree in d variables, in
+    lexicographic order."""
+    return tuple(
+        e for e in itertools.product(range(degree + 1), repeat=d)
+        if sum(e) <= degree
+    )
+
+
 def random_polynomial(rng, d, degree, scale=1.0):
     """Dense random polynomial with complex Gaussian coefficients.
 
     The exponents of total degree <= degree are visited in lexicographic
     order, and each coefficient draws its real part, then its imaginary
     part."""
-    expos = [
-        e for e in itertools.product(range(degree + 1), repeat=d)
-        if sum(e) <= degree
-    ]
+    expos = _dense_exponents(d, degree)
     draws = iter(rng.normal(size=2 * len(expos)).tolist())
     coeffs = {e: scale * (re + 1j * im) for e, re, im in zip(expos, draws, draws)}
     return Polynomial(d, coeffs)

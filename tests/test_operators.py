@@ -94,6 +94,29 @@ class TestBuildTuple:
         with pytest.raises(DimensionMismatchError):
             build_tuple_from_kernel(np.eye(2), ((0.0, 0.0),))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.2, np.nan)])
+    def test_non_finite_input_rejected_before_factoring(self, bad, monkeypatch):
+        # a NaN used to escape as LinAlgError("SVD did not converge")
+        def refuse(*args, **kwargs):
+            raise AssertionError("factorisation reached")
+
+        for name in ("eigvalsh", "cholesky", "inv", "svd", "norm"):
+            monkeypatch.setattr(np.linalg, name, refuse)
+        K = np.array([[1.0, 0.2], [0.2, 1.0]], dtype=complex)
+        nodes = ((0.1, 0.2), (0.3, 0.1))
+        K_bad = K.copy()
+        K_bad[0, 1] = bad
+        with pytest.raises(DomainError, match="kernel entries"):
+            build_tuple_from_kernel(K_bad, nodes)
+        with pytest.raises(DomainError, match="node coordinates"):
+            build_tuple_from_kernel(K, ((0.1, bad), (0.3, 0.1)))
+
+    @pytest.mark.parametrize("bad", [np.nan, -np.inf, complex(np.nan, 0.0)])
+    def test_non_finite_node_values_rejected(self, canonical_tuple, bad, monkeypatch):
+        monkeypatch.setattr(np.linalg, "inv", lambda *a: pytest.fail("inverted"))
+        with pytest.raises(DomainError, match="node values"):
+            apply_node_values(canonical_tuple, [0.5, bad])
+
 
 class TestFunctionalCalculus:
     def test_polynomial_matches_node_values(self, canonical_tuple):
@@ -185,10 +208,8 @@ def _sample_suprema(d, samples, seed):
     """The samples of von_neumann_check and the supremum of each, from
     one sup_on_torus call on the whole batch."""
     rng = np.random.default_rng(seed)
-    polys = [
-        operators._sample_test_polynomial(rng, d, operators.VN_MAX_DEGREE)
-        for _s in range(samples)
-    ]
+    C, taylor = operators._draw_samples(rng, d, samples, operators.VN_MAX_DEGREE)
+    polys = [operators._sample_polynomial(row, t) for row, t in zip(C, taylor)]
     return polys, sup_on_torus(polys)
 
 
@@ -230,20 +251,28 @@ class TestPrunedVonNeumann:
 
     def test_zero_and_one_term_samples(self, canonical_tuple, monkeypatch):
         # a quarter of the samples become the zero polynomial and another
-        # quarter keep their largest term only (chosen from the same rng)
-        draw = operators._sample_test_polynomial
+        # quarter keep their largest term only (chosen from the same rng):
+        # each sample is drawn as a batch of one, and its row of the stack
+        # is changed in place
+        draw = operators._draw_samples
 
-        def mixed(rng, d, max_degree):
-            p = draw(rng, d, max_degree)
-            k = rng.integers(12)
-            if k % 4 == 0:
-                return Polynomial(d)
-            if k % 3 == 0:
-                e, c = max(p.coeffs.items(), key=lambda item: abs(item[1]))
-                return Polynomial(d, {e: c})
-            return p
+        def mixed(rng, d, samples, max_degree):
+            stacks, flags = [], []
+            for _s in range(samples):
+                C, taylor = draw(rng, d, 1, max_degree)
+                k = rng.integers(12)
+                if k % 4 == 0:
+                    C[0] = 0.0
+                elif k % 3 == 0:
+                    p = operators._sample_polynomial(C[0], taylor[0])
+                    e, c = max(p.coeffs.items(), key=lambda item: abs(item[1]))
+                    C[0] = 0.0
+                    C[(0,) + e] = c
+                stacks.append(C)
+                flags.append(taylor)
+            return np.concatenate(stacks), np.concatenate(flags)
 
-        monkeypatch.setattr(operators, "_sample_test_polynomial", mixed)
+        monkeypatch.setattr(operators, "_draw_samples", mixed)
         rng = np.random.default_rng(7)
         tups = [canonical_tuple] + [_random_tuple(rng, 2) for _ in range(3)]
         for seed in range(4):

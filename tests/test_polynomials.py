@@ -5,10 +5,12 @@ import pytest
 
 from polydisklab import Polynomial, random_polynomial, sup_on_torus
 from polydisklab.errors import DomainError
+from polydisklab.agler import _draw_colligation
 from polydisklab.operators import (
     VN_MAX_DEGREE,
-    _sample_test_polynomial,
-    _transfer_taylor,
+    _draw_samples,
+    _sample_polynomial,
+    _taylor_stack,
 )
 from polydisklab.polynomials import (
     MAX_DEGREE,
@@ -315,6 +317,12 @@ def _unmerged_sup(p, thetas, best):
     return best
 
 
+def _vn_samples(rng, d, count, max_degree):
+    """count samples of von_neumann_check's sampler, as Polynomials."""
+    C, taylor = _draw_samples(rng, d, count, max_degree)
+    return [_sample_polynomial(row, t) for row, t in zip(C, taylor)]
+
+
 def _mixed_batch(rng, d, count, max_degree):
     """von_neumann_check's sampler, with a zero polynomial, a one-term
     polynomial and a two-term one of unequal degrees per axis in every
@@ -331,7 +339,7 @@ def _mixed_batch(rng, d, count, max_degree):
             expo[int(rng.integers(d))] = max_degree
             out.append(Polynomial(d, {(0,) * d: 0.5j, tuple(expo): 1.0 - 0.2j}))
         else:
-            out.append(_sample_test_polynomial(rng, d, max_degree))
+            out.append(_vn_samples(rng, d, 1, max_degree)[0])
     return out
 
 
@@ -357,8 +365,11 @@ class TestBatchedSupremum:
         # call, so only a change in which rounds a polynomial gets, such
         # as refining it until the whole batch is done, moves a bit
         rng = np.random.default_rng(5)
-        polys = [random_polynomial(rng, 2, 4) if i % 2 else _transfer_taylor(rng, 2, 4)
+        draws = [random_polynomial(rng, 2, 4) if i % 2 else _draw_colligation(rng, 2, 2)
                  for i in range(200)]
+        taylor = iter(_taylor_stack(draws[::2], 2, 4))
+        polys = [p if i % 2 else _sample_polynomial(next(taylor), True)
+                 for i, p in enumerate(draws)]
         assert {_coefficient_stack([p]).shape for p in polys} == {(1, 5, 5)}
         assert np.array_equal(sup_on_torus(polys), [sup_on_torus(p) for p in polys])
 
@@ -374,17 +385,13 @@ class TestBatchedSupremum:
         # the batch loop, which retires windows with their polynomial,
         # against the plain loop on the same windows
         rng = np.random.default_rng(31)
-        for _ in range(200):
-            p = _sample_test_polynomial(rng, 2, VN_MAX_DEGREE)
+        for p in _vn_samples(rng, 2, 200, VN_MAX_DEGREE):
             assert sup_on_torus(p) == _unmerged_sup(p, *_grid_candidates(p))
 
 
 def _near_inner_draw(index):
     """Draw index of von_neumann_check's sampler at seed 5, d = 2."""
-    rng = np.random.default_rng(5)
-    for _ in range(index + 1):
-        p = _sample_test_polynomial(rng, 2, VN_MAX_DEGREE)
-    return p
+    return _vn_samples(np.random.default_rng(5), 2, index + 1, VN_MAX_DEGREE)[index]
 
 
 class TestPeakWindows:
@@ -404,8 +411,7 @@ class TestPeakWindows:
     @pytest.mark.parametrize("d", [1, 2])
     def test_von_neumann_draws(self, d):
         rng = np.random.default_rng(60 + d)
-        self._check([_sample_test_polynomial(rng, d, VN_MAX_DEGREE)
-                     for _ in range(1000)])
+        self._check(_vn_samples(rng, d, 1000, VN_MAX_DEGREE))
 
     def test_near_inner_draws(self):
         self._check([_near_inner_draw(i) for i in (186, 623, 996)])
@@ -484,8 +490,8 @@ class TestCertifiedSupremum:
 
     def test_von_neumann_draws(self):
         rng = np.random.default_rng(23)
-        for _ in range(200):
-            self._check(_sample_test_polynomial(rng, 2, VN_MAX_DEGREE), 128)
+        for p in _vn_samples(rng, 2, 200, VN_MAX_DEGREE):
+            self._check(p, 128)
 
     @pytest.mark.parametrize("index", [186, 623, 996])
     def test_near_inner_draws(self, index):
