@@ -75,7 +75,7 @@ class MobiusMap:
     def __post_init__(self):
         a = check_disk_point(self.a)
         tau = complex(self.tau)
-        if abs(abs(tau) - 1.0) > DEFAULT_TOL:
+        if not abs(abs(tau) - 1.0) <= DEFAULT_TOL:
             raise DomainError(f"prefactor {tau} is not unimodular")
         tau /= abs(tau)
         object.__setattr__(self, "a", a)
@@ -217,12 +217,12 @@ class BlaschkeProduct:
     def __post_init__(self):
         zeros = tuple(check_disk_point(a) for a in self.zeros)
         c = complex(self.unimodular_constant)
-        if abs(abs(c) - 1.0) > DEFAULT_TOL:
+        if not abs(abs(c) - 1.0) <= DEFAULT_TOL:
             raise DomainError(f"constant {c} is not unimodular")
         c /= abs(c)
         scale = float(self.scale)
-        if scale <= 0.0:
-            raise DomainError("scale must be positive")
+        if not 0.0 < scale < np.inf:
+            raise DomainError("scale must be positive and finite")
         object.__setattr__(self, "zeros", zeros)
         object.__setattr__(self, "unimodular_constant", c)
         object.__setattr__(self, "scale", scale)

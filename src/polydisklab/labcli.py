@@ -464,7 +464,6 @@ def cmd_experiment(args):
             "eq_ex_rhs": rep.eq_ex_rhs,
             "witness_slack": rep.slack,
             "sa_norm": rep.sa_norm,
-            "caveat_flag": rep.sa_caveat,
             "circle_gap": rep.circle_gap,
             "gap_midpoint": rep.gap_midpoint,
             "verdict": rep.verdict,
@@ -475,7 +474,7 @@ def cmd_experiment(args):
             f"witness pair: zeta = {rep.zeta:.6f}, xi = {rep.xi:.6f}",
             f"distance of images {rep.eq_ex_lhs:.6f} < distance of sources "
             f"{rep.eq_ex_rhs:.6f} (slack {rep.slack:.6f})",
-            f"3-point interpolation norm: {rep.sa_norm:.8f} ({rep.sa_caveat})",
+            f"3-point interpolation norm: {rep.sa_norm:.8f} (closed form: z2, z phi_m(z))",
             f"omitted circle arc: {rep.circle_gap:.4f} rad, centered at "
             f"{rep.gap_midpoint:.4f}",
             f"verdict: {rep.verdict}",

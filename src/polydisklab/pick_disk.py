@@ -339,6 +339,8 @@ class CPDataOrigin:
         dims = {len(v) for v in vecs}
         if len(dims) != 1:
             raise DomainError("direction vectors have mixed dimensions")
+        if not all(map(cmath.isfinite, sum(vecs, targs))):
+            raise DomainError("direction vectors and targets must be finite")
         object.__setattr__(self, "vectors", vecs)
         object.__setattr__(self, "targets", targs)
 

@@ -99,6 +99,11 @@ class TestMobiusMap:
         with pytest.raises(DomainError):
             MobiusMap(0.2, 1.5)
 
+    def test_nan_prefactor_rejected(self):
+        # NaN fails every comparison, so the check must be written to fail
+        with pytest.raises(DomainError, match="unimodular"):
+            MobiusMap(0.3, tau=np.nan)
+
     def test_matrix_round_trip(self):
         rng = np.random.default_rng(5)
         for _ in range(50):
@@ -179,3 +184,12 @@ class TestBlaschke:
             BlaschkeProduct(zeros=(1.1,))
         with pytest.raises(DomainError):
             BlaschkeProduct(zeros=(), scale=-1.0)
+
+    @pytest.mark.parametrize("scale", [np.nan, np.inf])
+    def test_non_finite_scale_rejected(self, scale):
+        with pytest.raises(DomainError, match="scale"):
+            BlaschkeProduct(zeros=(0.5,), scale=scale)
+
+    def test_nan_constant_rejected(self):
+        with pytest.raises(DomainError, match="unimodular"):
+            BlaschkeProduct(zeros=(0.5,), unimodular_constant=np.nan)

@@ -6,6 +6,7 @@ import pytest
 from scipy.integrate import quad
 
 from polydisklab import (
+    DiskPickData,
     Polynomial,
     PolyPickData,
     builtin_rational_inner_graph,
@@ -15,6 +16,8 @@ from polydisklab import (
     exg1_extremal_candidate,
     exg1_reproduce,
     extension_vs_vn,
+    is_extremal,
+    minimal_norm,
     sample_variety,
     schur_agler_norm,
 )
@@ -25,6 +28,7 @@ from polydisklab.errors import DomainError
 from polydisklab.experiments import ARC_ETA, ARC_GRID, _omitted_arc
 
 GAP_MS = (0.1, 0.5, 0.7, 0.9, 0.95, 0.99, 0.999)
+WITNESS_MS = (1e-3, 0.05, 0.2, 0.35, 0.5, 0.65, 0.8, 0.9, 0.97, 0.999)
 CANONICAL = PolyPickData(d=2, nodes=((0.0, 0.0), (0.5, 0.5)), targets=(0.0, 0.7))
 
 
@@ -132,9 +136,8 @@ class TestExg1Reproduce:
         r = report09
         assert r.verdict == "violation_detected"
         assert r.slack >= 1e-6
-        assert r.sa_norm == pytest.approx(1.0, abs=1e-3)
+        assert r.sa_norm == 1.0
         assert r.circle_gap > 0.05
-        assert r.sa_caveat == CAVEAT_D3
 
     def test_frozen_witness_values(self, report09):
         r = report09
@@ -196,6 +199,17 @@ class TestExg1Reproduce:
         monkeypatch.setattr(experiments, "_omitted_arc", forbidden)
         assert exg1_reproduce(0.9).verdict == "violation_detected"
 
+    @pytest.mark.parametrize("m", sorted(set(GAP_MS + WITNESS_MS)))
+    def test_reproduce_solves_nothing(self, m, monkeypatch):
+        # the norm is the closed form of the module docstring, not a solve
+        def forbidden(*args, **kwargs):
+            raise AssertionError("exg1_reproduce must not solve for the norm")
+
+        monkeypatch.setattr(experiments, "schur_agler_norm", forbidden)
+        r = exg1_reproduce(m)
+        assert r.sa_norm == 1.0
+        assert r.verdict == "violation_detected"
+
     def test_midpoint_near_one(self, report09):
         assert report09.gap_midpoint == 1.0
 
@@ -237,14 +251,27 @@ class TestExg1ClosedForm:
             want = _plane_data(m, (1 + 2 * m) / (2 + m), (3 + 3 * m) / (4 + 2 * m))
             assert data == want
 
-    @pytest.mark.parametrize("m", [1e-3, 0.05, 0.2, 0.35, 0.5, 0.65, 0.8, 0.9,
-                                   0.97, 0.999])
+    @pytest.mark.parametrize("m", WITNESS_MS)
     def test_witness_holds_across_m(self, m):
         r = exg1_reproduce(m)
         assert m < r.zeta < r.xi < 1.0
         assert r.slack >= 0.08
         assert r.verdict == "violation_detected"
-        assert 1.0 - 1e-7 <= r.sa_norm <= 1.0 + 1e-5
+        assert r.sa_norm == 1.0
+        # the closed form's ingredients: z2 interpolates; the Blaschke
+        # problem on the first coordinate has norm 1, and psi, the third
+        # coordinate over the first, has norm below 1
+        data = exg1_data(m)
+        lam1, lam2, lam3 = zip(*data.nodes)
+        assert data.targets == lam2
+        blaschke = DiskPickData(nodes=lam1, targets=data.targets)
+        assert abs(minimal_norm(blaschke) - 1.0) <= 1e-12
+        assert is_extremal(blaschke)
+        assert minimal_norm(DiskPickData(nodes=lam1, targets=lam3)) < 1.0
+        # the barrier solve stays as an oracle: an upper bound at d = 3
+        norm = schur_agler_norm(data)
+        assert 1.0 - 1e-7 <= float(norm) <= 1.0 + 1e-5
+        assert norm.caveat_flag == CAVEAT_D3
 
     def test_pair_outside_the_criterion_has_norm_below_one(self):
         # at m = 0.9, (0.95, 0.975) has slack -0.0195: no contraction, and

@@ -291,10 +291,12 @@ class TestExperiments:
         report = json.loads((out_dir / "report.json").read_text())
         assert report["verdict"] == "violation_detected"
         assert report["witness_slack"] >= 1e-6
-        assert report["sa_norm"] == pytest.approx(1.0, abs=1e-3)
+        assert report["sa_norm"] == 1.0
+        assert "caveat_flag" not in report
         assert report["circle_gap"] > 0.05
         text = (out_dir / "report.txt").read_text()
         assert "verdict: violation_detected" in text
+        assert "norm: 1.00000000 (closed form: z2, z phi_m(z))" in text
 
     def test_exg1_reruns_are_byte_identical(self, tmp_path, capsys):
         d1, d2 = tmp_path / "a", tmp_path / "b"

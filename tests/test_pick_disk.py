@@ -655,3 +655,17 @@ class TestInfinitesimalExtremal:
             CPDataOrigin(vectors=(), targets=())
         with pytest.raises(DomainError):
             CPDataOrigin(vectors=((1.0, 0.0), (1.0,)), targets=(0.1, 0.2))
+
+    @pytest.mark.parametrize("entry", [np.nan, np.inf, complex(0.0, np.nan)])
+    def test_non_finite_vector_rejected(self, entry):
+        # reaching the solver, such an entry made LAPACK print "illegal
+        # value" lines and raise a raw LinAlgError
+        with pytest.raises(DomainError, match="finite"):
+            CPDataOrigin(vectors=((1.0, 0.5), (entry, 0.2)), targets=(0.3, 0.1))
+
+    @pytest.mark.parametrize("target", [np.nan, -np.inf])
+    def test_non_finite_target_rejected(self, target):
+        # a NaN target used to run the Newton budget out and then raise
+        # ConditioningError with a NaN bracket
+        with pytest.raises(DomainError, match="finite"):
+            CPDataOrigin(vectors=((1.0, 0.5),), targets=(target,))
