@@ -125,8 +125,11 @@ def _finite_float(least=-math.inf, below=math.inf):
 
 
 def load_problem(path):
-    with open(path) as fh:
-        raw = json.load(fh)
+    try:
+        with open(path, encoding="utf-8") as fh:
+            raw = json.load(fh)
+    except UnicodeDecodeError as exc:
+        raise _UsageError(f"problem file {path} is not UTF-8 text: {exc}") from exc
     if not isinstance(raw, dict):
         raise _UsageError("problem file must be a JSON object")
     version = raw.get("version")

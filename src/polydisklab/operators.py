@@ -46,7 +46,7 @@ from .polynomials import (
     _coefficient_stack,
     _dense_exponents,
     _torus_lower_bounds,
-    _torus_suprema,
+    _torus_sup,
     effective_torus_grid,
 )
 
@@ -371,16 +371,19 @@ def von_neumann_check(tup, samples=VN_SAMPLES, seed=0):
     skipped; the worst function is the first sample of the largest
     ratio, and with no sample left the ratio is -inf and the worst
     function None.  The grid resolution of the suprema is recorded on
-    the report.
+    the report; DomainError, before any sample is drawn, for a tuple of
+    6 or more operators, whose grid would break the cap
+    (effective_torus_grid).
 
     Only the samples that can still be the worst get an exact supremum.
     Each sample's supremum is bounded below by max |p| on a sub-lattice
     of the torus grid (_torus_lower_bounds, batched), so
     norm / bound bounds its ratio from above (infinite for a zero
     bound).  The samples are visited by decreasing bound, and each gets
-    the supremum sup_on_torus would give it in the whole batch, until
-    the bound falls below (1 - VN_PRUNE_RTOL) times the largest ratio
-    found; only these samples become Polynomials.  The computed
+    the supremum sup_on_torus would give it in the sequence of all
+    samples (_torus_sup, padded to the shape of the multi-term ones),
+    until the bound falls below (1 - VN_PRUNE_RTOL) times the largest
+    ratio found; only these samples become Polynomials.  The computed
     supremum falls below the lower bound by rounding only, far less than
     VN_PRUNE_RTOL, so no sample left out can reach the largest ratio,
     and the report equals the exhaustive check's bit for bit.
@@ -389,6 +392,7 @@ def von_neumann_check(tup, samples=VN_SAMPLES, seed=0):
         raise DomainError(f"samples must be an integer, got {samples!r}")
     if samples < 0:
         raise DomainError(f"samples must be nonnegative, got {samples}")
+    grid = effective_torus_grid(tup.d)
     rng = np.random.default_rng(seed)
     stack, taylor = _draw_samples(rng, tup.d, samples, VN_MAX_DEGREE)
     nonzero = stack != 0.0
@@ -408,14 +412,14 @@ def von_neumann_check(tup, samples=VN_SAMPLES, seed=0):
             if bounds[i] < worst * (1.0 - VN_PRUNE_RTOL):
                 break
             p = _sample_polynomial(stack[kept[i]], taylor[kept[i]])
-            ratio = norms[i] / _torus_suprema([p], shape)[0]
+            ratio = norms[i] / _torus_sup(p, shape)
             if ratio > worst or (ratio == worst and i < worst_i):
                 worst, worst_i, worst_function = float(ratio), i, p
     return VNReport(
         max_ratio=worst,
         worst_function=worst_function,
         samples=samples,
-        grid=effective_torus_grid(tup.d),
+        grid=grid,
     )
 
 

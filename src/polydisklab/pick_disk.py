@@ -96,7 +96,9 @@ def _pencil(data):
     of K(x, y) = (1 - f(x) conj(f(y))) k(x, y), k(x, y) = 1 / (1 - x conj(y)):
     A0 holds those of k, A1 those of f(x) conj(f(y)) k(x, y).  Scaling the
     targets by 1/t scales A1 by 1/t^2, so the Pick matrix at level t is
-    A0 - A1 / t^2.
+    A0 - A1 / t^2.  DomainError when an entry is not finite, as for
+    targets near 1e308, which no eigensolve accepts; so _pencil_eigh
+    skips scipy's own finiteness check.
     """
     n = data.n
     lam = np.asarray(data.nodes, dtype=complex)
@@ -119,11 +121,20 @@ def _pencil(data):
     A0 = np.where(row_d, np.where(col_d, k_xy, k_x), np.where(col_d, k_y, k))
     # Leibniz rule: derivative rows also differentiate f(x), derivative
     # columns conj(f(y)); df is zero on value rows, so those terms drop.
-    A1 = (np.outer(f, np.conj(f)) * A0
-          + np.outer(df, np.conj(f)) * np.where(col_d, k_y, k)
-          + np.outer(f, np.conj(df)) * np.where(row_d, k_x, k)
-          + np.outer(df, np.conj(df)) * k)
-    return 0.5 * (A0 + np.conj(A0.T)), 0.5 * (A1 + np.conj(A1.T))
+    # huge targets or derivative values overflow A1: a DomainError below,
+    # not a warning here
+    with np.errstate(over="ignore", invalid="ignore"):
+        A1 = (np.outer(f, np.conj(f)) * A0
+              + np.outer(df, np.conj(f)) * np.where(col_d, k_y, k)
+              + np.outer(f, np.conj(df)) * np.where(row_d, k_x, k)
+              + np.outer(df, np.conj(df)) * k)
+        A1 = 0.5 * (A1 + np.conj(A1.T))
+    A0 = 0.5 * (A0 + np.conj(A0.T))
+    if not (np.isfinite(A0).all() and np.isfinite(A1).all()):
+        raise DomainError(
+            "the Pick matrix overflows: targets or derivative values too large"
+        )
+    return A0, A1
 
 
 def pick_matrix(data):
@@ -144,7 +155,7 @@ def _pencil_eigh(A0, A1, eigvals_only):
     """Ascending eigenvalues (and A0-orthonormal eigenvectors unless
     eigvals_only) of the pencil (A1, A0)."""
     try:
-        return eigh(A1, A0, eigvals_only=eigvals_only)
+        return eigh(A1, A0, eigvals_only=eigvals_only, check_finite=False)
     except np.linalg.LinAlgError as exc:
         raise ConditioningError(
             "generalized eigensolve failed; the Szegő Gram matrix of the "

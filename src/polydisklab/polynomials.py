@@ -3,16 +3,16 @@
 Shared by the variety tools (generators), the operator-theory checks
 (test functions on the torus), and the experiment drivers.  Polynomials
 are stored sparsely as exponent-tuple -> coefficient maps.  The
-supremum on the unit torus takes one polynomial or a batch of them.  A
-one-term polynomial has constant modulus there, so its supremum is |c|.
-Every other polynomial is evaluated on a grid of roots of unity, and
-each peak among its best grid points seeds one window.  The windows are
-refined in rounds shared by the whole batch: each round evaluates a
-local tensor grid around every window, a fixed-size block of windows at
-a time.  The grid and the windows come from one kernel, which contracts
-per-axis tables of exp(i a theta) with the coefficient tensors,
-zero-padded to one shape in a batch.  The same kernel on a coarse
-sub-lattice of the grid gives cheap lower bounds on the suprema.
+supremum on the unit torus takes one polynomial, or a sequence of them
+as a loop over its members.  A one-term polynomial has constant modulus
+there, so its supremum is |c|.  Every other polynomial is evaluated on a
+grid of roots of unity, and each peak among its best grid points seeds
+one window.  Each polynomial's windows are refined in rounds of their
+own: each round evaluates a local tensor grid around every window.  The
+grid and the windows come from one kernel, which contracts per-axis
+tables of exp(i a theta) with the coefficient tensor.  The same kernel
+on a coarse sub-lattice of the grid gives cheap lower bounds on the
+suprema of a whole stack of polynomials at once.
 """
 
 from __future__ import annotations
@@ -43,10 +43,6 @@ REFINE_SHRINK = 3.0
 # Polynomial.__call__ evaluates this many points at a time, so that its
 # (points x terms x d) power tensor stays bounded.
 EVAL_BLOCK = 1024
-# sup_on_torus evaluates the local grids of its windows in blocks of at
-# most this many points (one window at least), so that a batch's working
-# set stays bounded: 256 windows of 9 x 9 points for d = 2.
-REFINE_BLOCK = 20736
 
 _COEFF_CHOP = 1e-15
 
@@ -300,10 +296,17 @@ def _coefficient_stack(polys, shape=None):
 
 
 def effective_torus_grid(d):
-    """Per-axis grid size after capping the total point count."""
+    """Per-axis grid size after capping the total point count, never
+    below LOW_GRID.  DomainError when LOW_GRID^d points break the cap
+    (d >= 6; at d = 7 the grid alone would take 4 GB)."""
     grid = TORUS_GRID
-    while grid ** d > TORUS_GRID_CAP and grid > 16:
+    while grid ** d > TORUS_GRID_CAP and grid > LOW_GRID:
         grid //= 2
+    if grid ** d > TORUS_GRID_CAP:
+        raise DomainError(
+            f"the torus grid in {d} variables needs {grid}^{d} points, "
+            f"above the cap of {TORUS_GRID_CAP}"
+        )
     return grid
 
 
@@ -347,34 +350,37 @@ def sup_on_torus(p):
     the same number of variables, which gives an array with one supremum
     each (DomainError if the variable counts differ).  The zero
     polynomial gives 0.0 and a one-term polynomial c z^a, of constant
-    modulus on the torus, gives |c| exactly, neither with a grid.
+    modulus on the torus, gives |c| exactly, neither with a grid.  Any
+    other polynomial in 6 or more variables raises DomainError, since
+    its grid would break TORUS_GRID_CAP (effective_torus_grid).
 
-    For every other polynomial a scan of the grid of grid-th roots of
+    Every other polynomial is refined on its own (_torus_sup), and a
+    sequence is a loop over its members, each refinement contracting a
+    coefficient tensor zero-padded to the _stack_shape of the members
+    with more than one term.  So a member gets the bits of a single call
+    when that shape is its own, and else agrees within the rounding of
+    the padded contraction (1e-15 relative); von_neumann_check takes
+    the suprema of a few of its samples in this way.
+
+    The refinement starts from a scan of the grid of grid-th roots of
     unity in each coordinate (_grid_candidates, one window of the kernel
-    below) takes its REFINE_CANDIDATES best grid points, which mostly
-    crowd one peak, and keeps the peaks among them as window centres.
+    below), which takes the REFINE_CANDIDATES best grid points, mostly
+    crowding one peak, and keeps the peaks among them as window centres.
     Each round then evaluates a REFINE_POINTS^d local grid in every
-    window of the batch (_local_grid_values, on the coefficient tensors
-    zero-padded to one shape, at most REFINE_BLOCK local grid points per
-    call) and moves each window to its best local point.  A window
+    window (_local_grid_values, one call of at most
+    REFINE_CANDIDATES * REFINE_POINTS^d points, fewer than the grid
+    scan) and moves each window to its best local point.  A window
     starts at half-width one grid spacing, 2 pi / grid, and shrinks
     REFINE_SHRINK-fold whenever its best point is interior, so the next
     window still covers the local spacing (a quarter of the half-width)
     around it.  A window whose best point lies on its edge keeps its
     size, since the maximum may lie beyond: on a thin slanted ridge the
     best sample can sit several spacings from the crest's maximum along
-    the ridge.  A polynomial's refinement ends once its windows have all shrunk
+    the ridge.  The refinement ends once every window has shrunk
     REFINE_STAGES times (the last local spacing is then below 1e-8 rad),
-    or after 2 * REFINE_STAGES rounds; its windows then leave the batch.
-    So each supremum is the refinement its polynomial gets on its own:
-    bit for bit when the batch shares one coefficient shape, else within
-    the rounding of the padded contraction (1e-15 relative).  The batch
-    enters only through that padded shape, so _torus_suprema can give
-    one sample of a batch the same bits without the rest; that is how
-    von_neumann_check takes exact suprema only for the samples that can
-    still be its worst, with _torus_lower_bounds bounding the others.  A
-    window at every best grid point would give no smaller value, and on
-    7060 draws at most 1.4e-15 relative larger.
+    or after 2 * REFINE_STAGES rounds.  A window at every best grid
+    point would give no smaller value, and on 7060 draws at most
+    1.4e-15 relative larger.
 
     Measured against certified brackets from a branch and bound on
     |p|^2 (tests/test_polynomials.py), no result fell short of the
@@ -387,33 +393,39 @@ def sup_on_torus(p):
     single = isinstance(p, Polynomial)
     polys = [p] if single else list(p)
     if len({q.d for q in polys}) > 1:
-        raise DomainError("polynomials of one batch must share their variable count")
-    best = _torus_suprema(polys, _refine_shape(polys))
-    return float(best[0]) if single else best
-
-
-def _refine_shape(polys):
-    """The shape sup_on_torus pads the refinement of the batch polys to:
-    the _stack_shape of its polynomials with more than one term, or None
-    when it has none."""
+        raise DomainError("polynomials of one sequence must share their variable count")
     multi = [q for q in polys if len(q.coeffs) > 1]
-    return _stack_shape(multi) if multi else None
+    shape = _stack_shape(multi) if multi else None
+    best = [_torus_sup(q, shape) for q in polys]
+    return best[0] if single else np.array(best)
 
 
-def _torus_suprema(polys, shape):
-    """sup_on_torus of each of polys, the refinement's coefficient stack
-    padded to shape (a _refine_shape of a batch holding polys).  A
-    polynomial's supremum depends on the batch only through shape, so a
-    sample of a batch gets the supremum the whole batch would give it."""
-    best = np.zeros(len(polys))
-    refined = []
-    for i, q in enumerate(polys):
-        if len(q.coeffs) == 1:
-            best[i] = abs(next(iter(q.coeffs.values())))
-        elif q.coeffs:
-            refined.append(i)
-    if refined:
-        best[refined] = _refined_suprema([polys[i] for i in refined], shape)
+def _torus_sup(p, shape):
+    """sup_on_torus of the one polynomial p, its refinement contracting
+    the coefficient tensor zero-padded to shape (at least p's own
+    _stack_shape; unused for fewer than two terms)."""
+    if len(p.coeffs) < 2:
+        return abs(next(iter(p.coeffs.values()), 0.0))
+    grid = effective_torus_grid(p.d)
+    thetas, best = _grid_candidates(p)
+    C = _coefficient_stack([p], shape)
+    width = max(C.shape[1:])
+    offsets = np.linspace(-1.0, 1.0, REFINE_POINTS)
+    strides = REFINE_POINTS ** np.arange(p.d - 1, -1, -1)
+    half_widths = (2.0 * np.pi / grid) / REFINE_SHRINK ** np.arange(REFINE_STAGES + 1)
+    offset_phases = _phases(np.multiply.outer(half_widths, offsets), width)
+    shrinks = np.zeros(len(thetas), dtype=int)
+    for _round in range(2 * REFINE_STAGES):
+        if shrinks.min() >= REFINE_STAGES:
+            break
+        vals = _local_grid_values(C, _phases(thetas, width), offset_phases[shrinks])
+        vals = np.abs(vals).reshape(len(thetas), -1)
+        k = np.argmax(vals, axis=1)
+        best = max(best, float(vals.max()))
+        steps = k[:, None] // strides % REFINE_POINTS
+        thetas = thetas + half_widths[shrinks, None] * offsets[steps]
+        interior = np.all((steps > 0) & (steps < REFINE_POINTS - 1), axis=1)
+        shrinks = np.minimum(shrinks + interior, REFINE_STAGES)
     return best
 
 
@@ -472,46 +484,3 @@ def _grid_candidates(p):
     near = np.all((centers[:, None] - centers[None] + 1) % grid <= 2, axis=2)
     peaks = ~np.any(near & (vals[None, :] > vals[:, None]), axis=1)
     return angles[centers[peaks]], float(vals.max())
-
-
-def _refined_suprema(polys, shape):
-    """The grid scan and the batched window refinement of sup_on_torus,
-    on the coefficient stack of polys padded to shape."""
-    d = polys[0].d
-    grid = effective_torus_grid(d)
-    scans = [_grid_candidates(p) for p in polys]
-    thetas = np.concatenate([t for t, _ in scans])
-    owner = np.repeat(np.arange(len(polys)), [len(t) for t, _ in scans])
-    best = np.array([b for _, b in scans])
-
-    C = _coefficient_stack(polys, shape)
-    width = max(C.shape[1:])
-    offsets = np.linspace(-1.0, 1.0, REFINE_POINTS)
-    strides = REFINE_POINTS ** np.arange(d - 1, -1, -1)
-    stages = REFINE_STAGES
-    half_widths = (2.0 * np.pi / grid) / REFINE_SHRINK ** np.arange(stages + 1)
-    offset_phases = _phases(np.multiply.outer(half_widths, offsets), width)
-    shrinks = np.zeros(len(owner), dtype=int)
-    block = max(1, REFINE_BLOCK // REFINE_POINTS ** d)
-    for _round in range(2 * stages):
-        # keep the windows of unfinished polynomials
-        unfinished = np.zeros(len(polys), dtype=bool)
-        unfinished[owner[shrinks < stages]] = True
-        keep = unfinished[owner]
-        if not keep.any():
-            break
-        owner, shrinks, thetas = owner[keep], shrinks[keep], thetas[keep]
-        k = np.empty(len(owner), dtype=int)
-        for start in range(0, len(owner), block):
-            b = slice(start, start + block)
-            vals = _local_grid_values(
-                C[owner[b]], _phases(thetas[b], width), offset_phases[shrinks[b]]
-            )
-            vals = np.abs(vals).reshape(len(vals), -1)
-            k[b] = np.argmax(vals, axis=1)
-            np.maximum.at(best, owner[b], vals[np.arange(len(vals)), k[b]])
-        steps = k[:, None] // strides % REFINE_POINTS
-        thetas = thetas + half_widths[shrinks, None] * offsets[steps]
-        interior = np.all((steps > 0) & (steps < REFINE_POINTS - 1), axis=1)
-        shrinks = np.minimum(shrinks + interior, stages)
-    return best

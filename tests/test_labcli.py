@@ -437,6 +437,10 @@ class TestMalformedInput:
                      ("disk_pick", {"nodes": [[0.0, 0.0], [0.5, 0.0]],
                                     "targets": [[0.0, 0.0], [float("inf"), 0.0]]}),
                      id="infinite-disk-target"),
+        # finite, but |w|^2 overflows the Pick matrix
+        pytest.param(["pick-solve", "{file}"],
+                     ("disk_pick", {"nodes": [0.1, 0.2], "targets": [0, 1e308]}),
+                     id="overflowing-disk-target"),
         pytest.param(["pick-solve", "{file}"],
                      ("disk_pick", {"nodes": [[0.0, 0.0], [float("nan"), 0.0]],
                                     "targets": PAIR_TARGETS}),
@@ -477,6 +481,16 @@ class TestMalformedInput:
         assert main(argv) == 1
         captured = capsys.readouterr()
         assert captured.err.startswith("error:")
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("argv", [["pick-solve"], ["variety", "retract"]])
+    def test_non_utf8_file(self, argv, tmp_path, capsys):
+        # a UTF-16 byte order mark: a usage error, not a UnicodeDecodeError
+        path = tmp_path / "problem.json"
+        path.write_bytes(b"\xff\xfe" + '{"version": 1}'.encode("utf-16-le"))
+        assert main(argv + [str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error:") and "UTF-8" in captured.err
         assert captured.out == ""
 
 

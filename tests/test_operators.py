@@ -284,15 +284,27 @@ class TestPrunedVonNeumann:
 
     def test_few_samples_get_an_exact_supremum(self, canonical_tuple, monkeypatch):
         calls = []
-        exact = operators._torus_suprema
+        exact = operators._torus_sup
 
-        def counted(polys, shape):
-            calls.append(len(polys))
-            return exact(polys, shape)
+        def counted(p, shape):
+            calls.append(p)
+            return exact(p, shape)
 
-        monkeypatch.setattr(operators, "_torus_suprema", counted)
+        monkeypatch.setattr(operators, "_torus_sup", counted)
         von_neumann_check(canonical_tuple, samples=1000, seed=105)
-        assert 1 <= sum(calls) < 50
+        assert 1 <= len(calls) < 50
+
+    @pytest.mark.parametrize("d", [6, 7])
+    def test_tuple_beyond_the_grid_cap_refused_before_drawing(self, d, monkeypatch):
+        # 16^d torus grid points break TORUS_GRID_CAP from d = 6
+        def fail(*args):
+            raise AssertionError("drew samples or built a grid")
+
+        monkeypatch.setattr(operators, "_draw_samples", fail)
+        monkeypatch.setattr(operators, "_torus_lower_bounds", fail)
+        tup = _random_tuple(np.random.default_rng(d), d)
+        with pytest.raises(DomainError):
+            von_neumann_check(tup, samples=10)
 
     @pytest.mark.parametrize("samples", [-3, 2.5, "10", True, None])
     def test_samples_must_be_a_nonnegative_integer(self, canonical_tuple, samples):

@@ -178,6 +178,25 @@ def within_documented_accuracy(t, exact, data):
 
 
 class TestMinimalNormRegressions:
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("targets, derivs", [
+        ((0.0, 1e308), ()),
+        ((0.0, 1e200j), ()),
+        ((0.0, 0.5), ((0, 1e200),)),
+    ])
+    def test_overflowing_pick_matrix_is_domain_error(self, targets, derivs):
+        # finite data whose Pick matrix overflows used to reach scipy's
+        # eigh, which raised ValueError on the infinite entries
+        data = DiskPickData(nodes=(0.1, 0.2), targets=targets,
+                            derivative_constraints=derivs)
+        for solve in (minimal_norm, is_extremal, pick_matrix,
+                      lambda data: solvable(data, 1.0)):
+            with pytest.raises(DomainError):
+                solve(data)
+        if not derivs:
+            with pytest.raises(DomainError):
+                schur_construct(data)
+
     def test_large_norm_returns(self):
         # nodes 1e-6 apart: the norm 9e5 is far above any fixed bracket, and
         # an absolute stopping tolerance sits below the float spacing there

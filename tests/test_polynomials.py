@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from polydisklab import Polynomial, random_polynomial, sup_on_torus
+from polydisklab import Polynomial, polynomials, random_polynomial, sup_on_torus
 from polydisklab.errors import DomainError
 from polydisklab.agler import _draw_colligation
 from polydisklab.operators import (
@@ -186,6 +186,27 @@ class TestTorusSup:
         assert effective_torus_grid(4) == 32
         assert effective_torus_grid(5) == 16
 
+    @pytest.mark.parametrize("d", [6, 7, 8])
+    def test_grid_beyond_the_cap_is_refused(self, d, monkeypatch):
+        # 16^d points break TORUS_GRID_CAP from d = 6 (2^24 points at d = 6,
+        # 4 GB of grid at d = 7): refused before any grid is built
+        def fail(*args):
+            raise AssertionError("built a grid")
+
+        monkeypatch.setattr(polynomials, "_local_grid_values", fail)
+        monkeypatch.setattr(polynomials, "_phases", fail)
+        with pytest.raises(DomainError):
+            effective_torus_grid(d)
+        two = Polynomial(d, {(0,) * d: 1.0, (1,) + (0,) * (d - 1): 0.5j})
+        for p in (two, [monomial(d, (2,) + (0,) * (d - 1)), two]):
+            with pytest.raises(DomainError):
+                sup_on_torus(p)
+        # zero and one-term polynomials keep their closed form
+        one = monomial(d, (1,) * d, coeff=-2j)
+        assert sup_on_torus(one) == 2.0
+        assert sup_on_torus(Polynomial(d, {})) == 0.0
+        assert np.array_equal(sup_on_torus([one, Polynomial(d, {})]), [2.0, 0.0])
+
     @pytest.mark.parametrize("d, degree", [(1, 12), (2, 6), (3, 2), (4, 3), (5, 2)])
     def test_grid_values_match_padded_ifftn(self, d, degree):
         p = random_polynomial(np.random.default_rng(d), d, degree)
@@ -345,7 +366,7 @@ def _mixed_batch(rng, d, count, max_degree):
 
 class TestBatchedSupremum:
     """sup_on_torus on a sequence against one call per polynomial, and
-    the batched refinement against a plain loop on the same windows."""
+    the refinement against the reference loop on the same windows."""
 
     @pytest.mark.parametrize("d, count, max_degree",
                              [(1, 300, VN_MAX_DEGREE), (2, 250, VN_MAX_DEGREE), (3, 10, 2)])
@@ -381,12 +402,14 @@ class TestBatchedSupremum:
         got = sup_on_torus([])
         assert isinstance(got, np.ndarray) and got.shape == (0,)
 
-    def test_merged_matches_unmerged_reference(self):
-        # the batch loop, which retires windows with their polynomial,
-        # against the plain loop on the same windows
-        rng = np.random.default_rng(31)
-        for p in _vn_samples(rng, 2, 200, VN_MAX_DEGREE):
-            assert sup_on_torus(p) == _unmerged_sup(p, *_grid_candidates(p))
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_merged_matches_unmerged_reference(self, d):
+        # the production refinement, bit for bit against the reference
+        # loop on the same windows
+        rng = np.random.default_rng(29 + d)
+        for p in _vn_samples(rng, d, 20 if d == 3 else 200, VN_MAX_DEGREE):
+            if len(p.coeffs) > 1:
+                assert sup_on_torus(p) == _unmerged_sup(p, *_grid_candidates(p))
 
 
 def _near_inner_draw(index):
