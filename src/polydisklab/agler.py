@@ -154,12 +154,18 @@ def _herm(X):
 
 
 def _make_problem(nodes, targets, t):
+    """Kernels M0[r] = 1 - z^r (z^r)* of each coordinate r and the target
+    matrix b0 = 1 - wt wt* for wt = w / t.  DomainError when b0 overflows,
+    as for targets past about 1e154 at level 1, before any solver sees it."""
     nodes = np.asarray(nodes, dtype=complex)
     if nodes.ndim == 1:
         nodes = nodes[:, None]
     wt = np.asarray(targets, dtype=complex) / t
     M0 = 1.0 - nodes.T[:, :, None] * np.conj(nodes.T[:, None, :])
-    b0 = 1.0 - np.outer(wt, np.conj(wt))
+    with np.errstate(over="ignore", invalid="ignore"):
+        b0 = 1.0 - np.outer(wt, np.conj(wt))
+    if not np.isfinite(b0).all():
+        raise DomainError("the target matrix overflows: targets too large for the level")
     return M0, b0
 
 

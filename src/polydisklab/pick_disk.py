@@ -10,12 +10,23 @@ interpolants from its eigenvectors (a Gram factor of the singular Pick
 matrix, turned into a unitary colligation by the lurking isometry), and
 the origin test from a dual barrier path that brackets the minimal l1
 norm; its verdict uses the bracket's lower end.
+
+Each DiskPickData builds its pencil once, lazily, and caches it with its
+top eigenvalue and cond(A0), so minimal_norm, is_extremal,
+schur_construct, solvable and pick_matrix on one data object share one
+pencil, one eigenvalues-only solve and one condition number.  The pencil
+is that of the targets and derivative values divided by a power of two
+2^e (e = 0 unless they exceed 2^256), and levels are scaled back by 2^e:
+the minimal norm is homogeneous in the targets, so every finite norm is
+answered, not only those whose Pick matrix fits in a float.
 """
 
 from __future__ import annotations
 
 import cmath
 import dataclasses
+import functools
+import math
 
 import numpy as np
 from scipy.linalg import eigh
@@ -52,7 +63,14 @@ L1_BRACKET_RTOL = 1e-12
 @dataclasses.dataclass(frozen=True)
 class DiskPickData:
     """Interpolation data on the disk: nodes, targets, and optional
-    first-derivative constraints given as (node index, value) pairs."""
+    first-derivative constraints given as (node index, value) pairs.
+
+    The solvers read three lazy attributes, each computed at most once
+    per object and then cached: pencil, the read-only (A0, A1, e) of
+    _pencil; pencil_top, the largest eigenvalue of that pencil; and
+    gram_condition, cond(A0).  They are not fields, so ==, hash and
+    dataclasses.replace ignore them.
+    """
 
     nodes: tuple
     targets: tuple
@@ -87,73 +105,114 @@ class DiskPickData:
     def n(self):
         return len(self.nodes)
 
+    @functools.cached_property
+    def pencil(self):
+        return _pencil(self)
+
+    @functools.cached_property
+    def pencil_top(self):
+        A0, A1, _ = self.pencil
+        return float(_pencil_eigh(A0, A1, eigvals_only=True)[-1])
+
+    @functools.cached_property
+    def gram_condition(self):
+        return np.linalg.cond(self.pencil[0])
+
 
 def _pencil(data):
-    """Szegő Gram matrix A0 and target part A1 of the extended Pick matrix.
+    """Szegő Gram matrix A0 and target part A1 of the extended Pick matrix
+    of the data divided by 2^e, and e; both arrays are read-only.
 
     Rows are all value constraints in node order, then one row per
     derivative constraint.  Entries are the mixed Wirtinger derivatives
     of K(x, y) = (1 - f(x) conj(f(y))) k(x, y), k(x, y) = 1 / (1 - x conj(y)):
     A0 holds those of k, A1 those of f(x) conj(f(y)) k(x, y).  Scaling the
     targets by 1/t scales A1 by 1/t^2, so the Pick matrix at level t is
-    A0 - A1 / t^2.  DomainError when an entry is not finite, as for
-    targets near 1e308, which no eigensolve accepts; so _pencil_eigh
-    skips scipy's own finiteness check.
+    A0 - A1 / t^2.  e is 0 unless a real or imaginary part of a target or
+    derivative value exceeds 2^256; then dividing by 2^e, which is exact,
+    brings them all below 1.  Either way every entry is finite, while the
+    Pick matrix of the data itself overflows from targets near 1e154.
     """
     n = data.n
-    lam = np.asarray(data.nodes, dtype=complex)
-    w = np.asarray(data.targets, dtype=complex)
     idx = [i for i, _ in data.derivative_constraints]
-    x = np.concatenate([lam, lam[idx]])
-    f = np.concatenate([w, w[idx]])
-    df = np.concatenate([np.zeros(n, dtype=complex),
-                         np.asarray([v for _, v in data.derivative_constraints],
-                                    dtype=complex)])
-    is_d = np.arange(len(x)) >= n
+    x = np.array(data.nodes + tuple(data.nodes[i] for i in idx), dtype=complex)
+    # f at every row, then df: zero on value rows, the derivative values after
+    fdf = np.array(data.targets + tuple(data.targets[i] for i in idx) + (0j,) * n
+                   + tuple(v for _, v in data.derivative_constraints), dtype=complex)
+    top = float(np.abs(fdf.view(float)).max())
+    e = math.frexp(top)[1] if top > 2.0**256 else 0
+    fdf = np.ldexp(fdf.view(float), -e).view(complex)
+    f, df = fdf[:len(x)], fdf[len(x):]
 
     X, Y = x[:, None], np.conj(x)[None, :]
     u = 1.0 - X * Y
     k = 1.0 / u
-    k_x = Y / u**2  # d/dx k
-    k_y = X / u**2  # d/dconj(y) k
-    k_xy = (1.0 + X * Y) / u**3
-    row_d, col_d = is_d[:, None], is_d[None, :]
-    A0 = np.where(row_d, np.where(col_d, k_xy, k_x), np.where(col_d, k_y, k))
+    # derivative rows (from n on) hold d/dx k, derivative columns
+    # d/dconj(y) k, and both at once d^2/dx dconj(y) k; only those blocks
+    # are computed, so value data pays for no derivative kernel
+    k_x = Y / u[n:]**2
+    k_y = X / u[:, n:]**2
+    A0, K_x, K_y = k.copy(), k.copy(), k.copy()
+    A0[n:] = K_x[n:] = k_x
+    A0[:, n:] = K_y[:, n:] = k_y
+    A0[n:, n:] = (1.0 + X[n:] * Y[:, n:]) / u[n:, n:]**3
     # Leibniz rule: derivative rows also differentiate f(x), derivative
     # columns conj(f(y)); df is zero on value rows, so those terms drop.
-    # huge targets or derivative values overflow A1: a DomainError below,
-    # not a warning here
-    with np.errstate(over="ignore", invalid="ignore"):
-        A1 = (np.outer(f, np.conj(f)) * A0
-              + np.outer(df, np.conj(f)) * np.where(col_d, k_y, k)
-              + np.outer(f, np.conj(df)) * np.where(row_d, k_x, k)
-              + np.outer(df, np.conj(df)) * k)
-        A1 = 0.5 * (A1 + np.conj(A1.T))
+    A1 = (np.outer(f, np.conj(f)) * A0
+          + np.outer(df, np.conj(f)) * K_y
+          + np.outer(f, np.conj(df)) * K_x
+          + np.outer(df, np.conj(df)) * k)
+    A1 = 0.5 * (A1 + np.conj(A1.T))
     A0 = 0.5 * (A0 + np.conj(A0.T))
-    if not (np.isfinite(A0).all() and np.isfinite(A1).all()):
+    A0.setflags(write=False)
+    A1.setflags(write=False)
+    return A0, A1, e
+
+
+def _unscaled(data, level):
+    """A level of the pencil's scaled data, times 2^e: the level of the
+    data itself.  DomainError when that overflows."""
+    try:
+        return math.ldexp(level, data.pencil[2])
+    except OverflowError:
+        raise DomainError(
+            "the minimal norm overflows: targets or derivative values too large"
+        ) from None
+
+
+def _pick_at(data, t):
+    """Pick matrix of the data scaled by 1/t, A0 - A1 / (t 2^-e)^2 from the
+    cached pencil.  DomainError when an entry overflows, as it does at
+    level 1 for targets past about 1e154.  (t 2^-e)^2 is squared as a
+    numpy float, so a huge t gives A0, not a Python OverflowError."""
+    A0, A1, e = data.pencil
+    s = np.float64(math.ldexp(t, -e))
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        P = A0 - A1 / s**2
+    if not np.isfinite(P).all():
         raise DomainError(
             "the Pick matrix overflows: targets or derivative values too large"
         )
-    return A0, A1
+    return P
 
 
 def pick_matrix(data):
-    """Hermitian Pick matrix of the data at norm level 1."""
-    A0, A1 = _pencil(data)
-    return A0 - A1
+    """Hermitian Pick matrix of the data at norm level 1; DomainError when
+    an entry overflows."""
+    return _pick_at(data, 1.0)
 
 
 def solvable(data, t):
     """True iff the data scaled by 1/t admits a Schur-class interpolant."""
     if not t > 0:
         raise DomainError("norm level t must be positive")
-    A0, A1 = _pencil(data)
-    return float(np.linalg.eigvalsh(A0 - A1 / t**2).min()) >= PSD_TOL
+    return float(np.linalg.eigvalsh(_pick_at(data, t)).min()) >= PSD_TOL
 
 
 def _pencil_eigh(A0, A1, eigvals_only):
     """Ascending eigenvalues (and A0-orthonormal eigenvectors unless
-    eigvals_only) of the pencil (A1, A0)."""
+    eigvals_only) of the pencil (A1, A0).  _pencil's entries are always
+    finite, so scipy's own finiteness check is skipped."""
     try:
         return eigh(A1, A0, eigvals_only=eigvals_only, check_finite=False)
     except np.linalg.LinAlgError as exc:
@@ -163,33 +222,30 @@ def _pencil_eigh(A0, A1, eigvals_only):
         ) from exc
 
 
-def _critical_level(A0, A1):
-    # A0 - A1/t^2 is PSD iff t^2 >= every eigenvalue of the pencil (A1, A0).
-    top = float(_pencil_eigh(A0, A1, eigvals_only=True)[-1])
-    return float(np.sqrt(max(top, 0.0)))
-
-
 def minimal_norm(data):
     """Smallest t with solvable(data, t): the sup norm of the minimal-norm
     interpolant.
 
     The Pick matrix at level t is A0 - A1 / t^2 (see _pencil), so t is the
     square root of the largest eigenvalue of the pencil (A1, A0), found by
-    one generalized Hermitian eigensolve.  The relative error is below
-    NORM_RTOL * cond(A0) = 1e-15 * cond(A0), where A0 is the Szegő Gram
-    matrix of the constraints: 1e-12 at cond(A0) = 1e3, 4e-3 for two
-    nodes 1e-6 apart (cond(A0) = 4e12; the error there is 4e-5).  Raises
-    ConditioningError when A0 is not numerically positive definite.
+    one generalized Hermitian eigensolve, scaled back by the 2^e the
+    pencil divided the targets by.  The data object caches the pencil and
+    that eigenvalue for is_extremal and schur_construct.  The relative
+    error is below NORM_RTOL * cond(A0) = 1e-15 * cond(A0), where A0 is
+    the Szegő Gram matrix of the constraints: 1e-12 at cond(A0) = 1e3,
+    4e-3 for two nodes 1e-6 apart (cond(A0) = 4e12; the error there is
+    4e-5).  Raises ConditioningError when A0 is not numerically positive
+    definite, and DomainError when the norm overflows a float.
     """
-    return _critical_level(*_pencil(data))
+    # A0 - A1/t^2 is PSD iff t^2 >= every eigenvalue of the pencil (A1, A0).
+    return _unscaled(data, float(np.sqrt(max(data.pencil_top, 0.0))))
 
 
 def is_extremal(data):
     """True iff the Pick matrix at level 1 is PSD and singular, that is,
     iff the minimal norm is 1: decided as |minimal_norm - 1| within
-    EXTREMAL_RTOL * cond(A0)."""
-    A0, A1 = _pencil(data)
-    return abs(_critical_level(A0, A1) - 1.0) <= EXTREMAL_RTOL * np.linalg.cond(A0)
+    EXTREMAL_RTOL * cond(A0), both read from the data's cached pencil."""
+    return abs(minimal_norm(data) - 1.0) <= EXTREMAL_RTOL * data.gram_condition
 
 
 def schur_construct(data):
@@ -208,25 +264,28 @@ def schur_construct(data):
     product of degree r whose zeros are conj(eig(D)).  V comes from one
     least-squares solve over all nodes, the unimodular constant from a
     least-squares fit on the nodes, and _polish_blaschke refines both.
-    The interpolation residual is verified to INTERP_TOL.
+    The interpolation residual is verified to INTERP_TOL.  The pencil and
+    cond(A0) are the data's cached ones; the eigenvectors come from a
+    solve of its own.
     """
     if data.derivative_constraints:
         raise DomainError(
             "schur_construct supports value constraints only; derivative "
             "data is handled by the solvability tests"
         )
-    A0, A1 = _pencil(data)
+    A0, A1, _ = data.pencil
     mu, X = _pencil_eigh(A0, A1, eigvals_only=False)
     if not mu[-1] > 0.0:
         raise DegenerateDataError(
             "identically zero data has no Blaschke representation"
         )
-    t = float(np.sqrt(mu[-1]))
+    t = _unscaled(data, float(np.sqrt(mu[-1])))
     p = 1.0 - mu / mu[-1]
-    keep = p > EXTREMAL_RTOL * np.linalg.cond(A0)
+    keep = p > EXTREMAL_RTOL * data.gram_condition
     H = A0 @ X[:, keep] * np.sqrt(p[keep])
     lams = np.asarray(data.nodes, dtype=complex)
-    values = np.asarray(data.targets, dtype=complex) / t
+    targets = np.asarray(data.targets, dtype=complex)
+    values = targets / t
     # rows [1, lam_i h_i] Vt = [v_i, h_i], so Vt is V transposed
     Vt, *_ = np.linalg.lstsq(np.hstack([np.ones((len(lams), 1)), lams[:, None] * H]),
                              np.hstack([values[:, None], H]), rcond=None)
@@ -243,9 +302,7 @@ def schur_construct(data):
     result = BlaschkeProduct(
         zeros=tuple(zeros), unimodular_constant=c, scale=t * s
     )
-    resid = max(
-        abs(result(lam) - w) for lam, w in zip(data.nodes, data.targets)
-    )
+    resid = float(np.abs(result(lams) - targets).max())
     if resid > INTERP_TOL * max(1.0, t):
         raise ConditioningError(
             f"interpolation residual {resid:.3e} exceeds {INTERP_TOL:.0e}"

@@ -113,6 +113,15 @@ class TestPickSolve:
         assert out["minimal_norm"] == 0.0
         assert out["certificate"] is None
 
+    def test_huge_disk_targets_are_rescaled(self, tmp_path, capsys):
+        # |w|^2 overflows a float, the norm does not: 1e160 times 9.8
+        path = write_problem(tmp_path / "huge.json", "disk_pick",
+                             {"nodes": [0.1, 0.2], "targets": [0, 1e160]})
+        assert main(["pick-solve", path, "--json"]) == 0
+        out = json.loads(capsys.readouterr().out)
+        assert out["minimal_norm"] == pytest.approx(9.8e160, rel=1e-14)
+        assert out["certificate"]["scale"] == pytest.approx(9.8e160, rel=1e-14)
+
     def test_poly_problem_canonical(self, poly_problem, capsys):
         assert main(["pick-solve", poly_problem]) == 0
         out = json.loads(capsys.readouterr().out)
@@ -441,6 +450,12 @@ class TestMalformedInput:
         pytest.param(["pick-solve", "{file}"],
                      ("disk_pick", {"nodes": [0.1, 0.2], "targets": [0, 1e308]}),
                      id="overflowing-disk-target"),
+        # |w|^2 overflows the polydisk target matrix before the barrier path
+        pytest.param(["pick-solve", "{file}"],
+                     ("poly_pick", {"d": 2, "nodes": [[[0.1, 0.0], [0.2, 0.0]],
+                                                      [[0.3, 0.0], [-0.2, 0.0]]],
+                                    "targets": [[0.0, 0.0], [1e160, 0.0]]}),
+                     id="overflowing-poly-target"),
         pytest.param(["pick-solve", "{file}"],
                      ("disk_pick", {"nodes": [[0.0, 0.0], [float("nan"), 0.0]],
                                     "targets": PAIR_TARGETS}),

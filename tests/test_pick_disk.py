@@ -1,6 +1,8 @@
 """Tests for one-variable Pick interpolation and the infinitesimal
 l1 extremality test at the origin."""
 
+import collections
+import dataclasses
 import os
 import subprocess
 import sys
@@ -32,7 +34,7 @@ from polydisklab.errors import (
     DomainError,
     InfeasibleConstraintsError,
 )
-from polydisklab.pick_disk import NORM_RTOL, _pencil
+from polydisklab.pick_disk import EXTREMAL_RTOL, NORM_RTOL, _pencil, _pencil_eigh
 
 
 def random_disk(rng, n, rmax=0.9):
@@ -104,7 +106,7 @@ class TestPickMatrix:
                                 derivative_constraints=derivs)
             t = 0.5 + 2.0 * rng.random()
             ref = reference_pick(nodes, targets / t, [(i, v / t) for i, v in derivs])
-            A0, A1 = _pencil(data)
+            A0, A1, _ = _pencil(data)
             assert np.abs(A0 - A1 / t**2 - ref).max() <= 1e-12 * np.abs(ref).max()
             ref1 = reference_pick(nodes, targets, derivs)
             assert np.abs(pick_matrix(data) - ref1).max() <= 1e-12 * np.abs(ref1).max()
@@ -142,6 +144,8 @@ class TestMinimalNorm:
         t = minimal_norm(data)
         assert not solvable(data, max(t - 1e-3, 1e-6))
         assert solvable(data, t + 1e-3)
+        # the level's square overflows a float; the Pick matrix is A0
+        assert solvable(data, 1e200)
 
     def test_derivative_constraint_oracle(self):
         # f(z) = z^2 has sup norm 1; data {0 -> 0, 0.5 -> 0.25} plus
@@ -185,17 +189,44 @@ class TestMinimalNormRegressions:
         ((0.0, 0.5), ((0, 1e200),)),
     ])
     def test_overflowing_pick_matrix_is_domain_error(self, targets, derivs):
-        # finite data whose Pick matrix overflows used to reach scipy's
-        # eigh, which raised ValueError on the infinite entries
+        # the Pick matrix at level 1 holds the |w|^2 terms themselves, so it
+        # overflows even where the minimal norm does not
         data = DiskPickData(nodes=(0.1, 0.2), targets=targets,
                             derivative_constraints=derivs)
-        for solve in (minimal_norm, is_extremal, pick_matrix,
-                      lambda data: solvable(data, 1.0)):
+        for solve in (pick_matrix, lambda data: solvable(data, 1.0)):
             with pytest.raises(DomainError):
                 solve(data)
-        if not derivs:
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_overflowing_norm_is_domain_error(self):
+        # the norm 9.8e308 is past the largest float
+        data = DiskPickData(nodes=(0.1, 0.2), targets=(0.0, 1e308))
+        for solve in (minimal_norm, is_extremal, schur_construct):
             with pytest.raises(DomainError):
-                schur_construct(data)
+                solve(data)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("scale", [1e160, 1e200j, 1e300])
+    def test_huge_targets_scale_the_norm(self, scale):
+        # the norm is homogeneous in the targets; the pencil divides them
+        # by a power of two and the level is scaled back
+        unit = minimal_norm(DiskPickData(nodes=(0.1, 0.2), targets=(0.0, 1.0)))
+        assert unit == pytest.approx(9.8, rel=1e-14)
+        data = DiskPickData(nodes=(0.1, 0.2), targets=(0.0, scale))
+        norm = abs(scale) * unit
+        assert minimal_norm(data) == pytest.approx(norm, rel=1e-15)
+        assert not is_extremal(data)
+        assert schur_construct(data).scale == pytest.approx(norm, rel=1e-14)
+        assert solvable(data, 1.01 * norm) and not solvable(data, 0.99 * norm)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_huge_derivative_values_scale_the_norm(self):
+        small = DiskPickData(nodes=(0.0, 0.5), targets=(0.0, 0.5),
+                             derivative_constraints=((0, 2.0),))
+        huge = DiskPickData(nodes=(0.0, 0.5), targets=(0.0, 0.5e200),
+                            derivative_constraints=((0, 2e200),))
+        assert minimal_norm(huge) == pytest.approx(1e200 * minimal_norm(small),
+                                                   rel=1e-14)
 
     def test_large_norm_returns(self):
         # nodes 1e-6 apart: the norm 9e5 is far above any fixed bracket, and
@@ -555,6 +586,133 @@ class TestIsExtremal:
                             derivative_constraints=tuple(enumerate(derivs)))
         assert within_documented_accuracy(minimal_norm(data), 0.5, data)
         assert not is_extremal(data)
+
+
+def reference_minimal_norm(data):
+    A0, A1, _ = _pencil(data)
+    top = float(_pencil_eigh(A0, A1, eigvals_only=True)[-1])
+    return float(np.sqrt(max(top, 0.0)))
+
+
+def reference_is_extremal(data):
+    A0, _, _ = _pencil(data)
+    return abs(reference_minimal_norm(data) - 1.0) <= EXTREMAL_RTOL * np.linalg.cond(A0)
+
+
+def reference_schur_construct(data):
+    """schur_construct's arithmetic without its checks, building the
+    pencil and taking cond(A0) afresh."""
+    A0, A1, _ = _pencil(data)
+    mu, X = _pencil_eigh(A0, A1, eigvals_only=False)
+    t = float(np.sqrt(mu[-1]))
+    p = 1.0 - mu / mu[-1]
+    keep = p > EXTREMAL_RTOL * np.linalg.cond(A0)
+    H = A0 @ X[:, keep] * np.sqrt(p[keep])
+    lams = np.asarray(data.nodes, dtype=complex)
+    values = np.asarray(data.targets, dtype=complex) / t
+    Vt, *_ = np.linalg.lstsq(np.hstack([np.ones((len(lams), 1)), lams[:, None] * H]),
+                             np.hstack([values[:, None], H]), rcond=None)
+    zeros = np.conj(np.linalg.eigvals(Vt[1:, 1:]))
+    b0 = np.prod((lams[:, None] - zeros) / (1.0 - np.conj(zeros) * lams[:, None]),
+                 axis=1)
+    c = np.vdot(b0, values) / np.vdot(b0, b0)
+    zeros, c, s = pick_disk._polish_blaschke(data.nodes, values, zeros, c)
+    return list(zeros), c, t * s
+
+
+def seeded_problems(seed):
+    """Value and derivative problems with 2 to 8 separated nodes: targets
+    s B(nodes) of a Blaschke product B of degree 1 or 2 (extremal at s),
+    derivatives s B' at some nodes, or random targets."""
+    rng = np.random.default_rng(seed)
+    for n in range(2, 9):
+        for kind in ("value", "derivative", "random"):
+            while True:
+                nodes = random_disk(rng, n, rmax=0.8)
+                if min(pseudo_hyperbolic(nodes[i], nodes[j])
+                       for i in range(n) for j in range(i)) >= 0.3:
+                    break
+            zeros = random_disk(rng, 1 + int(rng.integers(min(2, n - 1))), rmax=0.8)
+            s = float(rng.choice([0.75, 1.0, 1.25]))
+            B = BlaschkeProduct(zeros=tuple(zeros),
+                                unimodular_constant=np.exp(2j * np.pi * rng.random()),
+                                scale=s)
+            targets = B(nodes)
+            derivs = ()
+            if kind == "derivative":
+                idx = sorted(rng.choice(n, size=int(rng.integers(1, n + 1)), replace=False))
+                derivs = tuple((int(i), complex(B(nodes[i]) * sum(
+                    (1.0 - abs(a) ** 2) / ((nodes[i] - a) * (1.0 - np.conj(a) * nodes[i]))
+                    for a in zeros))) for i in idx)
+            elif kind == "random":
+                targets = random_disk(rng, n)
+            yield DiskPickData(nodes=tuple(nodes), targets=tuple(targets),
+                               derivative_constraints=derivs)
+
+
+def hexed(values):
+    return [(float(np.real(v)).hex(), float(np.imag(v)).hex()) for v in values]
+
+
+class TestCachedPencil:
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_outputs_match_fresh_solves_bit_for_bit(self, seed):
+        extremal = 0
+        for data in seeded_problems(seed):
+            norm = minimal_norm(data)
+            assert norm.hex() == reference_minimal_norm(data).hex()
+            assert is_extremal(data) == reference_is_extremal(data)
+            extremal += bool(is_extremal(data))
+            if not data.derivative_constraints:
+                got = schur_construct(data)
+                zeros, c, scale = reference_schur_construct(data)
+                assert hexed(got.zeros) == hexed(zeros)
+                assert hexed([got.unimodular_constant]) == hexed([c / abs(c)])
+                assert got.scale.hex() == float(scale).hex()
+        assert extremal > 0
+
+    def test_one_pencil_one_eigensolve_one_cond(self, monkeypatch):
+        counts = collections.Counter()
+
+        def counted(name, f):
+            def wrapper(*args, **kwargs):
+                counts[name] += 1
+                return f(*args, **kwargs)
+            return wrapper
+
+        real_eigh = pick_disk.eigh
+
+        def eigh(*args, eigvals_only=False, **kwargs):
+            counts["eigh values" if eigvals_only else "eigh vectors"] += 1
+            return real_eigh(*args, eigvals_only=eigvals_only, **kwargs)
+
+        monkeypatch.setattr(pick_disk, "_pencil", counted("pencil", pick_disk._pencil))
+        monkeypatch.setattr(pick_disk, "eigh", eigh)
+        monkeypatch.setattr(np.linalg, "cond", counted("cond", np.linalg.cond))
+        data = DiskPickData(nodes=(0.0, 0.5, -0.3j), targets=(0.1, 0.4, -0.2))
+        twin = DiskPickData(nodes=data.nodes, targets=data.targets)
+        before = hash(data)
+        for _ in range(2):
+            minimal_norm(data)
+            is_extremal(data)
+            schur_construct(data)
+            pick_matrix(data)
+            solvable(data, 1.0)
+        assert counts == {"pencil": 1, "eigh values": 1, "cond": 1, "eigh vectors": 2}
+        assert data == twin and hash(data) == before == hash(twin)
+        fresh = dataclasses.replace(data)
+        assert fresh == data
+        minimal_norm(fresh)
+        assert counts["pencil"] == 2 and counts["eigh values"] == 2
+        assert fresh.pencil[0] is not data.pencil[0]
+
+    def test_cached_arrays_refuse_writes(self):
+        data = DiskPickData(nodes=(0.0, 0.5), targets=(0.0, 0.25),
+                            derivative_constraints=((1, 1.0),))
+        for A in data.pencil[:2]:
+            with pytest.raises(ValueError):
+                A[0, 0] = 0.0
+        assert pick_matrix(data).flags.writeable
 
 
 def l1_minimum_lp(V, u, phases=32):
