@@ -50,7 +50,6 @@ from .errors import (
     DomainError,
     InfeasibleConstraintsError,
     PolydiskLabError,
-    ResolutionExhaustedError,
     UndecidedError,
 )
 from .experiments import (

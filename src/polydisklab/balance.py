@@ -3,8 +3,8 @@
 A pair (l, m) in the polydisk is n-balanced when its n largest
 coordinatewise pseudo-hyperbolic distances agree.  Balanced pairs admit
 distinguished geodesic disks through them and explicit Caratheodory
-extremal functions; this module constructs both and provides the grid
-search used to exhibit balanced pairs on one-variable graphs.
+extremal functions; this module constructs both and finds balanced-pair
+witnesses on one-variable graphs by one root solve.
 """
 
 from __future__ import annotations
@@ -21,11 +21,8 @@ from .disk_geometry import (
     mobius_interchange,
     pseudo_hyperbolic,
 )
-from .errors import DegenerateDataError, DomainError, ResolutionExhaustedError
+from .errors import ConditioningError, DegenerateDataError, DomainError
 from .polynomials import Polynomial, sup_on_torus
-
-# Default polar grid for find_balanced_pair_on_graph: angles x radii.
-WITNESS_GRID = (512, 256)
 
 # Witness inequality slack, fixed by contract.
 WITNESS_SLACK = 1e-9
@@ -197,13 +194,6 @@ def caratheodory_extremal_for_pair(l, m, tol=DEFAULT_TOL):
     return CaratheodoryExtremal(report.n, top, center_maps, phases)
 
 
-def _poly_eval(coeffs, z):
-    # ascending-power coefficients; empty list is the zero map
-    if len(coeffs) == 0:
-        return np.zeros_like(np.asarray(z, dtype=complex))
-    return np.polyval(np.asarray(coeffs, dtype=complex)[::-1], z)
-
-
 def _validate_graph_map(coeffs):
     coeffs = [complex(c) for c in coeffs]
     if coeffs and abs(coeffs[0]) > 1e-14:
@@ -214,90 +204,62 @@ def _validate_graph_map(coeffs):
     return coeffs
 
 
-def find_balanced_pair_on_graph(g, w1, r, resolution=WITNESS_GRID):
-    """Search the graph of g for a point witnessing a 2-balanced pair.
+def find_balanced_pair_on_graph(g, w1, r):
+    """A point z on the graph w = g(z) witnessing a 2-balanced pair.
 
-    Returns (z, g(z)) where z satisfies
-    rho(g(z), w1) <= rho(z, 0) + 1e-9.  The search never reports
-    nonexistence: if the grid and its refinements fail, a
-    ResolutionExhaustedError carries diagnostics.
+    g lists the ascending coefficients of a self-map of the disk with
+    g(0) = 0, and |w1| < r < 1.  Returns (z, g(z)) with |z| <= r and
+    rho(g(z), w1) <= |z| + 1e-9, from one root solve, with no search.
+
+    Such a z always exists.  Let m be the Mobius map that swaps w1 and 0,
+    and F = m o g, so rho(g(z), w1) = |F(z)| and |F(0)| = |w1| < r.  A
+    fixed point of F is exactly balanced; the fixed points are the roots
+    of g(z) (1 - conj(w1) z) + z - w1, and the one of least modulus is
+    returned when it lies in |z| <= r.  If none does, then |F| <= r
+    somewhere on |z| = r: were |F| > r = |z| on the whole circle, Rouche
+    would give F as many zeros in |z| < r as F - z, that is none, and the
+    minimum-modulus principle would then give |F(0)| > r.  On
+    z = r e^(i theta), G(theta) = |g - w1|^2 - r^2 |1 - conj(w1) g|^2 has
+    the sign of |F| - r and is a trigonometric polynomial of degree
+    N = deg g, so its minimum lies at the angle of a root of
+    zeta^N G'(theta), or anywhere (theta = 0) when G is constant.  Of
+    these circle points, roots off the circle only adding candidates, the
+    one with least rho(g(z), w1) - |z| is returned.
+    A ConditioningError reports rounding that defeats either bound.
     """
     coeffs = _validate_graph_map(g)
     w1 = check_disk_point(w1)
     r = float(r)
     if not abs(w1) < r < 1.0:
         raise DomainError("need |w1| < r < 1")
+    c = np.array(coeffs or [0.0], dtype=complex)
+    n = len(c) - 1
 
-    def h(z):
-        gz = _poly_eval(coeffs, z)
-        return np.abs(gz - w1) / np.abs(1.0 - np.conj(w1) * gz) - np.abs(z)
+    def excess(z):
+        return _rho_raw(np.polyval(c[::-1], z), w1) - np.abs(z)
 
-    n_ang, n_rad = resolution
-    angles = np.exp(2j * np.pi * np.arange(n_ang) / n_ang)
-    radii = np.linspace(0.0, r, n_rad)
-    zgrid = np.outer(angles, radii)
-    hvals = h(zgrid)
-    flat = int(np.argmin(hvals))
-    ia, ir = divmod(flat, n_rad)
-    hmin = float(hvals[ia, ir])
-
-    if hmin <= 0.0:
-        # refine toward the crossing: bisect radially between the last
-        # nonnegative radius and this nonpositive one
-        lo_ir = ir
-        while lo_ir > 0 and hvals[ia, lo_ir - 1] <= 0.0:
-            lo_ir -= 1
-        if lo_ir == 0:
-            z = zgrid[ia, ir]
-            return complex(z), complex(_poly_eval(coeffs, z))
-        t_lo, t_hi = radii[lo_ir - 1], radii[lo_ir]
-        direction = angles[ia]
-        for _ in range(80):
-            t_mid = 0.5 * (t_lo + t_hi)
-            if h(direction * t_mid) <= 0.0:
-                t_hi = t_mid
-            else:
-                t_lo = t_mid
-        z = direction * t_hi
-        return complex(z), complex(_poly_eval(coeffs, z))
-
-    if hmin <= WITNESS_SLACK:
-        z = zgrid[ia, ir]
-        return complex(z), complex(_poly_eval(coeffs, z))
-
-    # local refinement around the best grid point
-    theta = 2.0 * np.pi * ia / n_ang
-    rad = radii[ir]
-    dth = 2.0 * np.pi / n_ang
-    drad = radii[1] - radii[0] if n_rad > 1 else r
-    best = hmin
-    best_z = zgrid[ia, ir]
-    for _ in range(4):
-        ths = theta + np.linspace(-dth, dth, 33)
-        rds = np.clip(rad + np.linspace(-drad, drad, 33), 0.0, r)
-        local = np.exp(1j * ths)[:, None] * rds[None, :]
-        lv = h(local)
-        flat = int(np.argmin(lv))
-        li, lj = divmod(flat, 33)
-        if lv[li, lj] < best:
-            best = float(lv[li, lj])
-            best_z = local[li, lj]
-            theta = ths[li]
-            rad = rds[lj]
-        dth /= 8.0
-        drad /= 8.0
-        if best <= WITNESS_SLACK:
-            return complex(best_z), complex(_poly_eval(coeffs, best_z))
-    raise ResolutionExhaustedError(
-        "no witness found at this resolution; the guaranteed point exists "
-        "but needs a finer grid or different parameters",
-        diagnostics={
-            "min_residual": best,
-            "argmin": complex(best_z),
-            "resolution": resolution,
-            "suggestion": "increase resolution or move w1 closer to g(D)",
-        },
-    )
+    fixed = np.convolve(c, [1.0, -np.conj(w1)])
+    fixed[:2] += [-w1, 1.0]
+    roots = np.roots(fixed[::-1])
+    roots = roots[np.abs(roots) <= r]
+    z = roots[np.argmin(np.abs(roots))] if roots.size else None
+    if z is None or excess(z) > WITNESS_SLACK:
+        a = c * r ** np.arange(n + 1)
+        lin = np.zeros(2 * n + 1, dtype=complex)
+        lin[n:] += np.conj(w1) * a
+        lin[n::-1] += w1 * np.conj(a)
+        coef = (1.0 - r * r * abs(w1) ** 2) * np.convolve(a, np.conj(a[::-1]))
+        coef -= (1.0 - r * r) * lin
+        coef *= 1j * np.arange(-n, n + 1)
+        theta = np.append(np.angle(np.roots(coef[::-1])), 0.0)
+        # a few ulps inside the circle, so that rounding keeps |z| <= r
+        circle = (r - 8.0 * np.finfo(float).eps * r) * np.exp(1j * theta)
+        z = circle[np.argmin(excess(circle))]
+    if abs(z) > r or excess(z) > WITNESS_SLACK:
+        raise ConditioningError(
+            f"rounding defeats the witness: |z| = {abs(z)!r}, excess {excess(z):.3e}"
+        )
+    return complex(z), complex(np.polyval(c[::-1], z))
 
 
 def scan_balanced_pairs(sample, tol=DEFAULT_TOL):

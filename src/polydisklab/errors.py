@@ -40,14 +40,3 @@ class UndecidedError(PolydiskLabError):
         self.iterations = iterations
         self.residuals = residuals or {}
 
-
-class ResolutionExhaustedError(PolydiskLabError):
-    """A witness search ran out of resolution.
-
-    This never asserts nonexistence; ``diagnostics`` records the best
-    candidate found and how to search harder.
-    """
-
-    def __init__(self, message, diagnostics=None):
-        super().__init__(message)
-        self.diagnostics = diagnostics or {}

@@ -63,7 +63,8 @@ L1_BRACKET_RTOL = 1e-12
 @dataclasses.dataclass(frozen=True)
 class DiskPickData:
     """Interpolation data on the disk: nodes, targets, and optional
-    first-derivative constraints given as (node index, value) pairs.
+    first-derivative constraints given as (node index, value) pairs, at
+    most one per node.
 
     The solvers read three lazy attributes, each computed at most once
     per object and then cached: pencil, the read-only (A0, A1, e) of
@@ -92,11 +93,17 @@ class DiskPickData:
         derivs = tuple(
             (int(i), complex(v)) for i, v in self.derivative_constraints
         )
+        seen = set()
         for i, v in derivs:
             if not 0 <= i < len(nodes):
                 raise DomainError(f"derivative constraint at bad index {i}")
             if not cmath.isfinite(v):
                 raise DomainError("derivative values must be finite")
+            if i in seen:
+                raise DegenerateDataError(
+                    f"two derivative constraints at node index {i}; at most one per node"
+                )
+            seen.add(i)
         object.__setattr__(self, "nodes", nodes)
         object.__setattr__(self, "targets", targets)
         object.__setattr__(self, "derivative_constraints", derivs)

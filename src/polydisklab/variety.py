@@ -334,8 +334,11 @@ def retract_check(generators, margin=RETRACT_MARGIN, grid=DEFAULT_GRID, seed=0):
     varieties cut by more than one generator, is inconclusive.
 
     The same base grid is reused for all three pairs, so the verdict is
-    invariant under coordinate permutations of the generators.
+    invariant under coordinate permutations of the generators.  The
+    margin must satisfy 0 <= margin < 1.
     """
+    if not 0.0 <= margin < 1.0:
+        raise DomainError(f"retract margin must satisfy 0 <= margin < 1, got {margin}")
     gens, d = _check_generators(generators)
     if d != 3:
         raise DomainError("retract test is defined for varieties in D^3")

@@ -9,11 +9,8 @@ from polydisklab.balance import (
     scan_balanced_pairs,
 )
 from polydisklab.disk_geometry import kobayashi_distance_polydisk, pseudo_hyperbolic
-from polydisklab.errors import (
-    DegenerateDataError,
-    DomainError,
-    ResolutionExhaustedError,
-)
+from polydisklab.errors import DegenerateDataError, DomainError
+from polydisklab.polynomials import Polynomial, sup_on_torus
 
 
 class TestClassifyPair:
@@ -135,25 +132,56 @@ class TestFindBalancedPairOnGraph:
         with pytest.raises(DomainError, match="not a self-map"):
             find_balanced_pair_on_graph(g, w1=0.0, r=0.5)
 
-    def test_succeeds_even_at_coarse_resolution(self):
-        # Local refinement should rescue a deliberately coarse scan: the
-        # (1, 2) grid holds only z = 0 and z = 0.5, and h(z) =
-        # rho(g(z), w1) - |z| is positive on both, so no grid point is a
-        # witness; the refinement finds one at z = -0.5.
-        g, w1 = [0.0, 0.5], -0.3
-        h = [pseudo_hyperbolic(0.5 * z, w1) - abs(z) for z in (0.0, 0.5)]
-        assert h[0] == pytest.approx(0.3)
-        assert h[1] == pytest.approx(0.0116, abs=1e-4)
-        z, gz = find_balanced_pair_on_graph(g, w1=w1, r=0.5, resolution=(1, 2))
-        assert z == pytest.approx(-0.5, abs=1e-12)
-        assert pseudo_hyperbolic(gz, w1) <= abs(z)
+    def test_fixed_point_is_exactly_balanced(self):
+        # g = z / 2 and w1 = -0.3: the fixed points of the Mobius image of
+        # g solve 0.15 z^2 + 1.5 z + 0.3 = 0, and z = (sqrt(2.07) - 1.5) / 0.3
+        # lies inside r = 0.5
+        z, gz = find_balanced_pair_on_graph([0.0, 0.5], w1=-0.3, r=0.5)
+        assert z == pytest.approx((np.sqrt(2.07) - 1.5) / 0.3, abs=1e-12)
+        assert pseudo_hyperbolic(gz, -0.3) == pytest.approx(abs(z), abs=1e-12)
 
-    def test_exhaustion_error_carries_diagnostics(self):
-        err = ResolutionExhaustedError(
-            "no witness", diagnostics={"min_residual": 0.01, "suggestion": "raise resolution"}
-        )
-        assert err.diagnostics["min_residual"] == 0.01
-        assert "suggestion" in err.diagnostics
+    @pytest.mark.parametrize(
+        "g, w1, witness",
+        [([], 0.3j, 0.3j), ([0.0], 0.3, 0.3), ([0.0, 0.5, 0.2], 0.0, 0.0)],
+    )
+    def test_zero_map_and_zero_target(self, g, w1, witness):
+        # g = 0 has the one fixed point z = w1; w1 = 0 has z = 0 as one
+        z, gz = find_balanced_pair_on_graph(g, w1=w1, r=0.5)
+        assert z == pytest.approx(witness, abs=1e-15)
+        assert pseudo_hyperbolic(gz, w1) <= abs(z) + 1e-15
+
+    @pytest.mark.parametrize(
+        "g, w1, on_circle",
+        [([0.0, 0.5], -0.3, False), ([0.0, -0.9], 0.45, True)],
+    )
+    def test_zero_top_coefficients_change_nothing(self, g, w1, on_circle):
+        # the polynomials handed to np.roots then lead with zeros
+        z, gz = find_balanced_pair_on_graph(g, w1=w1, r=0.5)
+        assert (abs(z) == pytest.approx(0.5, rel=1e-14)) == on_circle
+        assert pseudo_hyperbolic(gz, w1) <= abs(z) + 1e-9
+        padded = find_balanced_pair_on_graph(g + [0.0, 0.0], w1=w1, r=0.5)
+        assert padded == pytest.approx((z, gz), abs=1e-15)
+
+    def test_random_sweep_always_finds_a_witness(self):
+        # degree 1-12, torus sup up to 1 - 1e-6, r up to 0.999 and |w1| up to
+        # r (1 - 1e-6); a point strictly inside |z| < r is a fixed point,
+        # one on the circle comes from the critical points there
+        rng = np.random.default_rng(26)
+        branches = {"fixed": 0, "circle": 0}
+        for _ in range(1000):
+            deg = int(rng.integers(1, 13))
+            c = np.r_[0.0, rng.normal(size=deg) + 1j * rng.normal(size=deg)]
+            sup = sup_on_torus(Polynomial(1, {(k,): v for k, v in enumerate(c)}))
+            c *= (1.0 - 10.0 ** -rng.uniform(2, 6)) / sup
+            r = 1.0 - 10.0 ** -rng.uniform(0.3, 3)
+            w1 = r * (1.0 - 10.0 ** -rng.uniform(0.5, 6))
+            w1 *= np.exp(2j * np.pi * rng.uniform())
+            z, gz = find_balanced_pair_on_graph(list(c), w1=w1, r=r)
+            assert abs(z) <= r
+            assert pseudo_hyperbolic(gz, w1) <= abs(z) + 1e-9
+            assert gz == np.polyval(c[::-1], z)
+            branches["circle" if abs(z) > r * (1 - 1e-14) else "fixed"] += 1
+        assert min(branches.values()) > 0, branches
 
 
 class TestScanBalancedPairs:

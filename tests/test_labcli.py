@@ -91,6 +91,20 @@ class TestPickSolve:
         assert captured.out == ""
         assert "degenerate geometry" in captured.err
 
+    def test_two_derivative_constraints_at_one_node_exit_3(self, tmp_path, capsys):
+        path = write_problem(
+            tmp_path / "twice.json", "disk_pick",
+            {"nodes": [0.1, 0.5], "targets": [0.2, 0.3],
+             "derivative_constraints": [[0, 0.5], [0, 0.7]]},
+        )
+        assert main(["pick-solve", path]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "degenerate geometry: two derivative constraints at node index 0; "
+            "at most one per node\n"
+        )
+
     def test_disk_certificate_conditioning_error_exits_3(
             self, disk_problem, monkeypatch, capsys):
         # a failed construction is reported, not printed as a null certificate

@@ -65,6 +65,13 @@ class TestDiskPickData:
             DiskPickData(nodes=(0.0,), targets=(0.0,),
                          derivative_constraints=((3, 0.1),))
 
+    def test_two_derivative_constraints_at_one_node(self):
+        # refused up front, naming the node, rather than reported later as
+        # a singular Szegő Gram matrix of nodes that are fine
+        with pytest.raises(DegenerateDataError, match="node index 0; at most one"):
+            DiskPickData(nodes=(0.1, 0.5), targets=(0.2, 0.3),
+                         derivative_constraints=((0, 0.5), (0, 0.7)))
+
 
 def reference_pick(nodes, targets, derivs):
     """The extended Pick matrix entry by entry: value rows, then one row

@@ -161,6 +161,16 @@ class TestRetractCheck:
         with pytest.raises(DomainError):
             retract_check((Polynomial(2, {(1, 0): 1.0}),))
 
+    @pytest.mark.parametrize("margin", [float("nan"), 2.0, 1.0, -0.1, float("inf")])
+    def test_margin_outside_unit_interval_rejected(self, margin):
+        # z3 = 0.5 z1 + 0.49 z2 is a retract graph at the default margin;
+        # a margin outside [0, 1) is an error, not an inconclusive verdict
+        g = graph_generator(Polynomial(2, {(1, 0): 0.5, (0, 1): 0.49}))
+        assert retract_check(g).verdict == "retract_graph"
+        assert retract_check(g, margin=0.0).verdict == "retract_graph"
+        with pytest.raises(DomainError, match="margin"):
+            retract_check(g, margin=margin)
+
     def test_rational_inner_graph_is_retract(self):
         rep = retract_check(builtin_rational_inner_graph(0.4, 0.4))
         assert rep.verdict == "retract_graph"
