@@ -21,7 +21,9 @@ s + gap < 1/t^2 the dual Y is an infeasibility kernel: a positive definite
 unit-diagonal K with every [(1 - lambda_i^r conj(lambda_j^r)) K_ij] PSD and
 [(1 - (w_i/t) conj(w_j/t)) K_ij] clearly indefinite.  Both certificates are
 re-verified independently of the solver; a level the path cannot separate from
-the minimal one stays undecided.
+the minimal one stays undecided.  The path runs on the targets divided by the
+power of two 2^e that the disk Pick pencil would take for them, and reads each
+level t as t / 2^e, so huge and tiny targets take the path of their scaled copy.
 
 At these sizes (n <= 12 nodes) a Newton step does little arithmetic, so it is
 written for few Python-level calls, with LAPACK called directly, as the numpy
@@ -36,12 +38,14 @@ from __future__ import annotations
 import cmath
 import dataclasses
 import functools
+import math
 
 import numpy as np
 from scipy.linalg.lapack import dgeqrf, dorgqr, dtrtrs, ztrtrs
 
 from .disk_geometry import check_poly_point
 from .errors import DegenerateDataError, DomainError, UndecidedError
+from .pick_disk import _binary_exponent, _scaled
 
 # Certificate acceptance: PSD slack for decomposition factors, entrywise
 # reconstruction residual, and the violation a dual kernel must exhibit.
@@ -153,15 +157,21 @@ def _herm(X):
     return 0.5 * (X + np.conj(np.swapaxes(X, -1, -2)))
 
 
-def _make_problem(nodes, targets, t):
-    """Kernels M0[r] = 1 - z^r (z^r)* of each coordinate r and the target
-    matrix b0 = 1 - wt wt* for wt = w / t.  DomainError when b0 overflows,
-    as for targets past about 1e154 at level 1, before any solver sees it."""
+def _coordinate_kernels(nodes):
+    """M[r] = 1 - z^r (z^r)* for each coordinate r of the nodes."""
     nodes = np.asarray(nodes, dtype=complex)
     if nodes.ndim == 1:
         nodes = nodes[:, None]
+    return 1.0 - nodes.T[:, :, None] * np.conj(nodes.T[:, None, :])
+
+
+def _make_problem(nodes, targets, t):
+    """Kernels M0 = _coordinate_kernels(nodes) and the target matrix
+    b0 = 1 - wt wt* for wt = w / t.  DomainError when b0 overflows, as
+    for targets past about 1e154 at a level near 1, before any
+    certificate is checked against it."""
     wt = np.asarray(targets, dtype=complex) / t
-    M0 = 1.0 - nodes.T[:, :, None] * np.conj(nodes.T[:, None, :])
+    M0 = _coordinate_kernels(nodes)
     with np.errstate(over="ignore", invalid="ignore"):
         b0 = 1.0 - np.outer(wt, np.conj(wt))
     if not np.isfinite(b0).all():
@@ -438,9 +448,20 @@ def _start(M):
 
 
 def _path_problem(data):
-    M, _ = _make_problem(data.nodes, data.targets, 1.0)
-    w = np.asarray(data.targets, dtype=complex)
-    return M, np.outer(w, np.conj(w)), _start(M)
+    """The coordinate kernels M of the nodes, the path's target part
+    B = v v* for v = w / 2^e, its start, and e.
+
+    e is the binary exponent of the largest real or imaginary part of
+    the targets, as for the disk Pick pencil (pick_disk._binary_exponent),
+    so v is exact and B is finite and free of underflow at any target
+    scale.  The path of v reads a level t of the data as t / 2^e, and
+    its norm times 2^e is the data's.  Certificates depend on w / t
+    only, so they are those of the scaled data, bit for bit.
+    """
+    M = _coordinate_kernels(data.nodes)
+    e = _binary_exponent(data.targets)
+    v = _scaled(data.targets, e)
+    return M, np.outer(v, np.conj(v)), _start(M), e
 
 
 def agler_feasible(data, t, optimal_certificate=False):
@@ -474,8 +495,10 @@ def agler_feasible(data, t, optimal_certificate=False):
             viol = float(np.linalg.eigvalsh(_herm(b0 * K)).min())
             return Infeasible(DualKernel(K=K, violation=viol))
 
-    M, B, start = _path_problem(data)
-    target = 1.0 / (t * t)
+    M, B, start, e = _path_problem(data)
+    with np.errstate(over="ignore", divide="ignore"):
+        level = np.ldexp(np.float64(t), -e)
+        target = 1.0 / (level * level)
     dec = AglerDecomposition(gammas=tuple(start), t=float(t))
     try:
         for s, gap, gam, Y in _central_path(M, B, start, 0.0) if wmax > 0.0 else ():
@@ -514,10 +537,11 @@ class SchurAglerNorm(float):
     """A float tagged with the d >= 3 caveat.  undecided_probes is kept for
     callers that read it and is always 0: the norm comes from one path."""
 
-    def __new__(cls, value, caveat_flag=None, undecided_probes=0):
+    undecided_probes = 0
+
+    def __new__(cls, value, caveat_flag=None):
         obj = super().__new__(cls, value)
         obj.caveat_flag = caveat_flag
-        obj.undecided_probes = undecided_probes
         return obj
 
 
@@ -529,9 +553,13 @@ def schur_agler_norm(data):
     minimal level.  It stops once that value is within a relative
     NORM_RTOL of the best lower bound so far, the path's duality-gap
     bound 1/sqrt(s + gap).  A bracket that cannot close raises
-    UndecidedError carrying it.  For d <= 2 this is the minimal
-    extension norm; for d >= 3 it is an upper bound, and the result
-    carries the caveat flag saying so.
+    UndecidedError carrying it, scaled back to the data's units (the
+    path's own s and gap stay in its units).  The path runs on the
+    targets divided by 2^e (_path_problem) and the norm is scaled back
+    by 2^e, so the norm of 2^k times the data is 2^k times its norm, bit
+    for bit, and DomainError says when it overflows a float.  For d <= 2
+    this is the minimal extension norm; for d >= 3 it is an upper bound,
+    and the result carries the caveat flag saying so.
     """
     if data.n > MAX_NODES:
         raise DomainError(f"at most {MAX_NODES} nodes supported, got {data.n}")
@@ -539,17 +567,22 @@ def schur_agler_norm(data):
     if max(abs(w) for w in data.targets) == 0.0:
         return SchurAglerNorm(0.0, caveat_flag=caveat)
     lo, hi = 0.0, np.inf
-    M, B, start = _path_problem(data)
+    M, B, start, e = _path_problem(data)
     try:
         for s, gap, _, _ in _central_path(M, B, start, 0.0):
             if s > 0.0:
                 hi = 1.0 / np.sqrt(s)
                 lo = max(lo, 1.0 / np.sqrt(s + gap))
                 if hi <= lo * (1.0 + NORM_RTOL):
-                    return SchurAglerNorm(hi, caveat_flag=caveat)
+                    break  # the path only ends by this break or a raise
     except UndecidedError as exc:
-        exc.residuals["bracket"] = (lo, hi)
+        with np.errstate(over="ignore"):
+            exc.residuals["bracket"] = tuple(float(np.ldexp(x, e)) for x in (lo, hi))
         raise
+    try:
+        return SchurAglerNorm(math.ldexp(hi, e), caveat_flag=caveat)
+    except OverflowError:
+        raise DomainError("the Schur-Agler norm overflows: targets too large") from None
 
 
 def _random_blaschke_factor(rng):

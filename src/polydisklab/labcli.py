@@ -298,7 +298,8 @@ def cmd_pick_solve(args):
         if norm.caveat_flag:
             result["caveat_flag"] = norm.caveat_flag
         certificate = None
-        res = agler_feasible(data, max(float(norm) * (1.0 + 1e-6), 1e-9))
+        # zero targets have norm 0, and every level certifies them
+        res = agler_feasible(data, float(norm) * (1.0 + 1e-6) if norm > 0.0 else 1e-9)
         if isinstance(res, Feasible):
             certificate = _encode_decomposition(res.decomposition, data)
         result["certificate"] = certificate

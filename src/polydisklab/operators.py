@@ -46,8 +46,8 @@ from .polynomials import (
     _coefficient_stack,
     _dense_exponents,
     _torus_lower_bounds,
-    _torus_sup,
     effective_torus_grid,
+    sup_on_torus,
 )
 
 # Construction invariants (joint eigenvalues, commutation, Gram match)
@@ -342,13 +342,6 @@ def _sample_polynomial(row, taylor):
     return Polynomial(d, {e: row[e] for e in order})
 
 
-def _nonzero_shape(nonzero):
-    """_stack_shape of the polynomials whose nonzero coefficients are
-    the True entries of the rows of the boolean tensor nonzero."""
-    top = np.argwhere(nonzero)[:, 1:].max(axis=0, initial=0)
-    return tuple(int(a) + 1 for a in top)
-
-
 @dataclasses.dataclass(frozen=True)
 class VNReport:
     """Outcome of a randomized von Neumann inequality check."""
@@ -380,13 +373,12 @@ def von_neumann_check(tup, samples=VN_SAMPLES, seed=0):
     of the torus grid (_torus_lower_bounds, batched), so
     norm / bound bounds its ratio from above (infinite for a zero
     bound).  The samples are visited by decreasing bound, and each gets
-    the supremum sup_on_torus would give it in the sequence of all
-    samples (_torus_sup, padded to the shape of the multi-term ones),
-    until the bound falls below (1 - VN_PRUNE_RTOL) times the largest
-    ratio found; only these samples become Polynomials.  The computed
-    supremum falls below the lower bound by rounding only, far less than
-    VN_PRUNE_RTOL, so no sample left out can reach the largest ratio,
-    and the report equals the exhaustive check's bit for bit.
+    its stand-alone sup_on_torus, until the bound falls below
+    (1 - VN_PRUNE_RTOL) times the largest ratio found; only these
+    samples become Polynomials.  The computed supremum falls below the
+    lower bound by rounding only, far less than VN_PRUNE_RTOL, so no
+    sample left out can reach the largest ratio, and the report equals
+    the exhaustive check's bit for bit.
     """
     if isinstance(samples, bool) or not isinstance(samples, (int, np.integer)):
         raise DomainError(f"samples must be an integer, got {samples!r}")
@@ -401,18 +393,17 @@ def von_neumann_check(tup, samples=VN_SAMPLES, seed=0):
     worst = -np.inf
     worst_i = worst_function = None
     if len(kept):
-        box = tuple(slice(0, n) for n in _nonzero_shape(nonzero))
-        C = stack[(kept,) + box]
+        # the kept samples, cut to the largest degree in each variable
+        top = np.argwhere(nonzero)[:, 1:].max(axis=0)
+        C = stack[(kept,) + tuple(slice(0, a + 1) for a in top)]
         norms = np.linalg.svd(_function_values(tup, C), compute_uv=False)[:, 0]
         low = _torus_lower_bounds(C)
         bounds = np.divide(norms, low, out=np.full(len(kept), np.inf), where=low > 0.0)
-        multi = terms > 1
-        shape = _nonzero_shape(nonzero[multi]) if multi.any() else None
         for i in np.argsort(-bounds, kind="stable"):
             if bounds[i] < worst * (1.0 - VN_PRUNE_RTOL):
                 break
             p = _sample_polynomial(stack[kept[i]], taylor[kept[i]])
-            ratio = norms[i] / _torus_sup(p, shape)
+            ratio = norms[i] / sup_on_torus(p)
             if ratio > worst or (ratio == worst and i < worst_i):
                 worst, worst_i, worst_function = float(ratio), i, p
     return VNReport(

@@ -15,10 +15,12 @@ Each DiskPickData builds its pencil once, lazily, and caches it with its
 top eigenvalue and cond(A0), so minimal_norm, is_extremal,
 schur_construct, solvable and pick_matrix on one data object share one
 pencil, one eigenvalues-only solve and one condition number.  The pencil
-is that of the targets and derivative values divided by a power of two
-2^e (e = 0 unless they exceed 2^256), and levels are scaled back by 2^e:
-the minimal norm is homogeneous in the targets, so every finite norm is
-answered, not only those whose Pick matrix fits in a float.
+is that of the targets and derivative values divided by the power of two
+2^e that brings their largest real or imaginary part into [1/2, 1), and
+levels are scaled back by 2^e.  The minimal norm is homogeneous in the
+targets, so every finite norm is answered exactly as its data scaled by
+2^-e would be: neither huge targets, whose Pick matrix overflows, nor
+tiny ones, whose squares underflow, bias it.
 """
 
 from __future__ import annotations
@@ -135,10 +137,12 @@ def _pencil(data):
     of K(x, y) = (1 - f(x) conj(f(y))) k(x, y), k(x, y) = 1 / (1 - x conj(y)):
     A0 holds those of k, A1 those of f(x) conj(f(y)) k(x, y).  Scaling the
     targets by 1/t scales A1 by 1/t^2, so the Pick matrix at level t is
-    A0 - A1 / t^2.  e is 0 unless a real or imaginary part of a target or
-    derivative value exceeds 2^256; then dividing by 2^e, which is exact,
-    brings them all below 1.  Either way every entry is finite, while the
-    Pick matrix of the data itself overflows from targets near 1e154.
+    A0 - A1 / t^2.  e is the binary exponent of the largest real or
+    imaginary part of a target or derivative value (math.frexp), 0 for
+    all-zero data; dividing by 2^e, which is exact, brings that part into
+    [1/2, 1).  So every entry is finite and no |w|^2 term underflows,
+    while the Pick matrix of the data itself overflows from targets near
+    1e154 and loses its target part below about 1e-154.
     """
     n = data.n
     idx = [i for i, _ in data.derivative_constraints]
@@ -146,9 +150,8 @@ def _pencil(data):
     # f at every row, then df: zero on value rows, the derivative values after
     fdf = np.array(data.targets + tuple(data.targets[i] for i in idx) + (0j,) * n
                    + tuple(v for _, v in data.derivative_constraints), dtype=complex)
-    top = float(np.abs(fdf.view(float)).max())
-    e = math.frexp(top)[1] if top > 2.0**256 else 0
-    fdf = np.ldexp(fdf.view(float), -e).view(complex)
+    e = _binary_exponent(fdf)
+    fdf = _scaled(fdf, e)
     f, df = fdf[:len(x)], fdf[len(x):]
 
     X, Y = x[:, None], np.conj(x)[None, :]
@@ -176,6 +179,18 @@ def _pencil(data):
     return A0, A1, e
 
 
+def _binary_exponent(values):
+    """math.frexp's exponent of the largest real or imaginary part of the
+    complex values, 0 when all are zero: dividing by 2^e brings that part
+    into [1/2, 1)."""
+    return math.frexp(float(np.abs(np.asarray(values, dtype=complex).view(float)).max()))[1]
+
+
+def _scaled(values, e):
+    """The complex values divided by 2^e, exactly unless they underflow."""
+    return np.ldexp(np.asarray(values, dtype=complex).view(float), -e).view(complex)
+
+
 def _unscaled(data, level):
     """A level of the pencil's scaled data, times 2^e: the level of the
     data itself.  DomainError when that overflows."""
@@ -190,11 +205,11 @@ def _unscaled(data, level):
 def _pick_at(data, t):
     """Pick matrix of the data scaled by 1/t, A0 - A1 / (t 2^-e)^2 from the
     cached pencil.  DomainError when an entry overflows, as it does at
-    level 1 for targets past about 1e154.  (t 2^-e)^2 is squared as a
-    numpy float, so a huge t gives A0, not a Python OverflowError."""
+    level 1 for targets past about 1e154.  t 2^-e and its square are
+    numpy floats, so a huge t gives A0, not a Python OverflowError."""
     A0, A1, e = data.pencil
-    s = np.float64(math.ldexp(t, -e))
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        s = np.ldexp(np.float64(t), -e)
         P = A0 - A1 / s**2
     if not np.isfinite(P).all():
         raise DomainError(
@@ -273,26 +288,29 @@ def schur_construct(data):
     least-squares fit on the nodes, and _polish_blaschke refines both.
     The interpolation residual is verified to INTERP_TOL.  The pencil and
     cond(A0) are the data's cached ones; the eigenvectors come from a
-    solve of its own.
+    solve of its own.  Everything up to the scale works in the pencil's
+    units, v_i = (2^-e w_i) / (2^-e t), so no division meets a
+    subnormal level, and only the scale is taken back by 2^e.
     """
     if data.derivative_constraints:
         raise DomainError(
             "schur_construct supports value constraints only; derivative "
             "data is handled by the solvability tests"
         )
-    A0, A1, _ = data.pencil
+    A0, A1, e = data.pencil
     mu, X = _pencil_eigh(A0, A1, eigvals_only=False)
     if not mu[-1] > 0.0:
         raise DegenerateDataError(
             "identically zero data has no Blaschke representation"
         )
-    t = _unscaled(data, float(np.sqrt(mu[-1])))
+    level = float(np.sqrt(mu[-1]))
+    t = _unscaled(data, level)
     p = 1.0 - mu / mu[-1]
     keep = p > EXTREMAL_RTOL * data.gram_condition
     H = A0 @ X[:, keep] * np.sqrt(p[keep])
     lams = np.asarray(data.nodes, dtype=complex)
     targets = np.asarray(data.targets, dtype=complex)
-    values = targets / t
+    values = _scaled(targets, e) / level
     # rows [1, lam_i h_i] Vt = [v_i, h_i], so Vt is V transposed
     Vt, *_ = np.linalg.lstsq(np.hstack([np.ones((len(lams), 1)), lams[:, None] * H]),
                              np.hstack([values[:, None], H]), rcond=None)

@@ -3,12 +3,12 @@
 Shared by the variety tools (generators), the operator-theory checks
 (test functions on the torus), and the experiment drivers.  Polynomials
 are stored sparsely as exponent-tuple -> coefficient maps.  The
-supremum on the unit torus takes one polynomial, or a sequence of them
-as a loop over its members.  A one-term polynomial has constant modulus
-there, so its supremum is |c|.  Every other polynomial is evaluated on a
-grid of roots of unity, and each peak among its best grid points seeds
-one window.  Each polynomial's windows are refined in rounds of their
-own: each round evaluates a local tensor grid around every window.  The
+supremum on the unit torus takes one polynomial.  A one-term polynomial
+has constant modulus there, so its supremum is |c|.  Every other
+polynomial is evaluated on a grid of roots of unity, and each peak among
+its best grid points seeds one window.  The windows are refined in
+rounds: each round evaluates a local tensor grid around every window,
+contracting the polynomial's own coefficient tensor.  The
 grid and the windows come from one kernel, which contracts per-axis
 tables of exp(i a theta) with the coefficient tensor.  The same kernel
 on a coarse sub-lattice of the grid gives cheap lower bounds on the
@@ -273,20 +273,14 @@ def random_polynomial(rng, d, degree, scale=1.0):
     return Polynomial(d, coeffs)
 
 
-def _stack_shape(polys):
-    """The shape _coefficient_stack pads polys to: the largest degree in
-    each variable, plus one."""
-    degrees = [(0,) * polys[0].d]
-    degrees += [tuple(map(max, zip(*p.coeffs))) for p in polys if p.coeffs]
-    return tuple(max(col) + 1 for col in zip(*degrees))
-
-
 def _coefficient_stack(polys, shape=None):
     """Coefficient tensors of polynomials in the same d, zero-padded to
-    one shape, by default _stack_shape(polys): C[i, a_0, ..., a_{d-1}]
-    is the coefficient of z^a in polys[i]."""
+    one shape, by default the largest degree in each variable plus one:
+    C[i, a_0, ..., a_{d-1}] is the coefficient of z^a in polys[i]."""
     if shape is None:
-        shape = _stack_shape(polys)
+        degrees = [(0,) * polys[0].d]
+        degrees += [tuple(map(max, zip(*p.coeffs))) for p in polys if p.coeffs]
+        shape = tuple(max(col) + 1 for col in zip(*degrees))
     C = np.zeros((len(polys),) + shape, dtype=complex)
     for i, p in enumerate(polys):
         if p.coeffs:
@@ -344,23 +338,19 @@ def _local_grid_values(C, at_centre, at_offset):
 
 
 def sup_on_torus(p):
-    """Supremum of |p| over the unit torus.
+    """Supremum of |p| over the unit torus, for one Polynomial p
+    (DomainError for anything else).
 
-    p is one Polynomial, which gives a float, or a sequence of them in
-    the same number of variables, which gives an array with one supremum
-    each (DomainError if the variable counts differ).  The zero
-    polynomial gives 0.0 and a one-term polynomial c z^a, of constant
-    modulus on the torus, gives |c| exactly, neither with a grid.  Any
-    other polynomial in 6 or more variables raises DomainError, since
-    its grid would break TORUS_GRID_CAP (effective_torus_grid).
+    The zero polynomial gives 0.0 and a one-term polynomial c z^a, of
+    constant modulus on the torus, gives |c| exactly, neither with a
+    grid.  Any other polynomial in 6 or more variables raises
+    DomainError, since its grid would break TORUS_GRID_CAP
+    (effective_torus_grid).
 
-    Every other polynomial is refined on its own (_torus_sup), and a
-    sequence is a loop over its members, each refinement contracting a
-    coefficient tensor zero-padded to the _stack_shape of the members
-    with more than one term.  So a member gets the bits of a single call
-    when that shape is its own, and else agrees within the rounding of
-    the padded contraction (1e-15 relative); von_neumann_check takes
-    the suprema of a few of its samples in this way.
+    Every other polynomial is refined on its own coefficient tensor
+    (_coefficient_stack of p alone), so von_neumann_check, which calls
+    this on each sample it cannot prune, divides by the stand-alone
+    value bit for bit.
 
     The refinement starts from a scan of the grid of grid-th roots of
     unity in each coordinate (_grid_candidates, one window of the kernel
@@ -390,25 +380,13 @@ def sup_on_torus(p):
     the width of the bracket itself.  The value is attained on the
     torus, so it exceeds the supremum only by rounding.
     """
-    single = isinstance(p, Polynomial)
-    polys = [p] if single else list(p)
-    if len({q.d for q in polys}) > 1:
-        raise DomainError("polynomials of one sequence must share their variable count")
-    multi = [q for q in polys if len(q.coeffs) > 1]
-    shape = _stack_shape(multi) if multi else None
-    best = [_torus_sup(q, shape) for q in polys]
-    return best[0] if single else np.array(best)
-
-
-def _torus_sup(p, shape):
-    """sup_on_torus of the one polynomial p, its refinement contracting
-    the coefficient tensor zero-padded to shape (at least p's own
-    _stack_shape; unused for fewer than two terms)."""
+    if not isinstance(p, Polynomial):
+        raise DomainError(f"expected a Polynomial, got {type(p).__name__}")
     if len(p.coeffs) < 2:
         return abs(next(iter(p.coeffs.values()), 0.0))
     grid = effective_torus_grid(p.d)
     thetas, best = _grid_candidates(p)
-    C = _coefficient_stack([p], shape)
+    C = _coefficient_stack([p])
     width = max(C.shape[1:])
     offsets = np.linspace(-1.0, 1.0, REFINE_POINTS)
     strides = REFINE_POINTS ** np.arange(p.d - 1, -1, -1)

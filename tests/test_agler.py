@@ -1,6 +1,8 @@
 """Tests for Agler-decomposition feasibility, the barrier-path norm, and
 dual-kernel certificates on the polydisk."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, assume, given, settings
@@ -328,6 +330,70 @@ class TestSchurAglerNorm:
             norm = schur_agler_norm(data)
             assert 1.0 - 1e-12 <= float(norm) <= 1.0 + 1e-9
             assert norm.undecided_probes == 0
+
+
+def times_scale(data, c):
+    """The data with its targets times c; exact for a power of two c."""
+    return PolyPickData(d=data.d, nodes=data.nodes,
+                        targets=tuple(c * w for w in data.targets))
+
+
+def certificate_bytes(res):
+    if isinstance(res, Feasible):
+        return "feasible", [g.tobytes() for g in res.decomposition.gammas]
+    return "infeasible", res.kernel.K.tobytes(), res.kernel.violation
+
+
+# canonical data, data whose nodes share their first coordinate (the path
+# also builds its start) and three nodes with complex targets
+SCALE_CASES = {
+    "canonical": CANONICAL,
+    "shared-coordinate": PolyPickData(d=2, nodes=((0.3, 0.2), (0.3, -0.4), (-0.5, 0.1)),
+                                      targets=(0.1, 0.3, -0.2)),
+    "complex-targets": PolyPickData(d=2, nodes=tuple(zip(NODES_SHIFT[0], NODES_SHIFT[1])),
+                                    targets=TARGETS_SHIFT[:3]),
+}
+
+
+class TestTargetScale:
+    """The barrier path runs on the targets divided by their own 2^e, so
+    the norm and both certificates see w / t only, at any target scale."""
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("name", sorted(SCALE_CASES))
+    def test_power_of_two_scaling_is_exact(self, name):
+        data = SCALE_CASES[name]
+        norm = float(schur_agler_norm(data))
+        for k in (-1000, -600, -300, 300, 600, 1000):
+            assert schur_agler_norm(times_scale(data, 2.0 ** k)) == math.ldexp(norm, k)
+        for f in (0.99, 1.01):
+            want = certificate_bytes(agler_feasible(data, f * norm))
+            for k in (-1000, -300, 300, 1000):
+                got = agler_feasible(times_scale(data, 2.0 ** k), math.ldexp(f * norm, k))
+                assert certificate_bytes(got) == want
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("scale", [1e-120, 1e-100, 1e-80, 1e80, 1e100, 1e120, 1e200])
+    def test_decimal_scales_are_decided(self, scale):
+        # these scales once left the path's Newton system non-finite or
+        # out of budget
+        data = times_scale(CANONICAL, scale)
+        norm = float(schur_agler_norm(data))
+        assert norm == pytest.approx(float(schur_agler_norm(CANONICAL)) * scale, rel=1e-9)
+        assert isinstance(agler_feasible(data, 1.01 * norm), Feasible)
+        assert isinstance(agler_feasible(data, 0.99 * norm), Infeasible)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_huge_targets_below_the_level_are_feasible(self):
+        # the level-1 target matrix of this data overflows, w / t does not
+        data = times_scale(CANONICAL, 1e200)
+        assert isinstance(agler_feasible(data, 1.5e200), Feasible)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_overflowing_norm_is_domain_error(self):
+        # the norm, 1e308 / 0.5 = 2e308, is past the largest float
+        with pytest.raises(DomainError, match="overflows"):
+            schur_agler_norm(PolyPickData(d=2, nodes=CANONICAL.nodes, targets=(0.0, 1e308)))
 
 
 def mobius(a, z):

@@ -136,6 +136,25 @@ class TestPickSolve:
         assert out["minimal_norm"] == pytest.approx(9.8e160, rel=1e-14)
         assert out["certificate"]["scale"] == pytest.approx(9.8e160, rel=1e-14)
 
+    def test_huge_poly_targets_are_rescaled(self, tmp_path, capsys):
+        # |w|^2 overflows a float, the norm does not: 1e160 / 0.5
+        path = write_problem(tmp_path / "huge.json", "poly_pick",
+                             {"d": 2, "nodes": POLY_NODES, "targets": [[0.0, 0.0], [1e160, 0.0]]})
+        assert main(["pick-solve", path, "--json"]) == 0
+        out = json.loads(capsys.readouterr().out)
+        assert out["sa_norm"] == pytest.approx(2e160, rel=1e-9)
+        assert out["certificate"]["t"] == pytest.approx(2e160, rel=2e-6)
+        assert out["certificate"]["reconstruction_residual"] <= 1e-7
+
+    def test_tiny_poly_targets_certify_at_their_norm(self, tmp_path, capsys):
+        # the certificate's level follows the norm 2e-100, not a floor
+        path = write_problem(tmp_path / "tiny.json", "poly_pick",
+                             {"d": 2, "nodes": POLY_NODES, "targets": [[0.0, 0.0], [1e-100, 0.0]]})
+        assert main(["pick-solve", path, "--json"]) == 0
+        out = json.loads(capsys.readouterr().out)
+        assert out["sa_norm"] == pytest.approx(2e-100, rel=1e-9)
+        assert out["certificate"]["t"] == pytest.approx(2e-100, rel=2e-6)
+
     def test_poly_problem_canonical(self, poly_problem, capsys):
         assert main(["pick-solve", poly_problem]) == 0
         out = json.loads(capsys.readouterr().out)
@@ -464,11 +483,11 @@ class TestMalformedInput:
         pytest.param(["pick-solve", "{file}"],
                      ("disk_pick", {"nodes": [0.1, 0.2], "targets": [0, 1e308]}),
                      id="overflowing-disk-target"),
-        # |w|^2 overflows the polydisk target matrix before the barrier path
+        # finite, but the Schur-Agler norm, 1e308 / 0.385, overflows a float
         pytest.param(["pick-solve", "{file}"],
                      ("poly_pick", {"d": 2, "nodes": [[[0.1, 0.0], [0.2, 0.0]],
                                                       [[0.3, 0.0], [-0.2, 0.0]]],
-                                    "targets": [[0.0, 0.0], [1e160, 0.0]]}),
+                                    "targets": [[0.0, 0.0], [1e308, 0.0]]}),
                      id="overflowing-poly-target"),
         pytest.param(["pick-solve", "{file}"],
                      ("disk_pick", {"nodes": [[0.0, 0.0], [float("nan"), 0.0]],

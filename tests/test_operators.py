@@ -206,11 +206,11 @@ class TestVonNeumann:
 
 def _sample_suprema(d, samples, seed):
     """The samples of von_neumann_check and the supremum of each, from
-    one sup_on_torus call on the whole batch."""
+    one stand-alone sup_on_torus call per sample."""
     rng = np.random.default_rng(seed)
     C, taylor = operators._draw_samples(rng, d, samples, operators.VN_MAX_DEGREE)
     polys = [operators._sample_polynomial(row, t) for row, t in zip(C, taylor)]
-    return polys, sup_on_torus(polys)
+    return polys, np.array([sup_on_torus(p) for p in polys])
 
 
 def _exhaustive_check(tup, polys, sups):
@@ -284,13 +284,13 @@ class TestPrunedVonNeumann:
 
     def test_few_samples_get_an_exact_supremum(self, canonical_tuple, monkeypatch):
         calls = []
-        exact = operators._torus_sup
+        exact = operators.sup_on_torus
 
-        def counted(p, shape):
+        def counted(p):
             calls.append(p)
-            return exact(p, shape)
+            return exact(p)
 
-        monkeypatch.setattr(operators, "_torus_sup", counted)
+        monkeypatch.setattr(operators, "sup_on_torus", counted)
         von_neumann_check(canonical_tuple, samples=1000, seed=105)
         assert 1 <= len(calls) < 50
 

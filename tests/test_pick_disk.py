@@ -3,6 +3,7 @@ l1 extremality test at the origin."""
 
 import collections
 import dataclasses
+import math
 import os
 import subprocess
 import sys
@@ -100,7 +101,7 @@ def reference_pick(nodes, targets, derivs):
 
 class TestPickMatrix:
     def test_pencil_matches_entrywise_reference(self):
-        # A0 - A1 / t^2 is the Pick matrix of the data scaled by 1/t
+        # A0 - A1 / (t 2^-e)^2 is the Pick matrix of the data scaled by 1/t
         rng = np.random.default_rng(13)
         for _ in range(200):
             n = int(rng.integers(1, 6))
@@ -113,8 +114,8 @@ class TestPickMatrix:
                                 derivative_constraints=derivs)
             t = 0.5 + 2.0 * rng.random()
             ref = reference_pick(nodes, targets / t, [(i, v / t) for i, v in derivs])
-            A0, A1, _ = _pencil(data)
-            assert np.abs(A0 - A1 / t**2 - ref).max() <= 1e-12 * np.abs(ref).max()
+            A0, A1, e = _pencil(data)
+            assert np.abs(A0 - A1 / math.ldexp(t, -e)**2 - ref).max() <= 1e-12 * np.abs(ref).max()
             ref1 = reference_pick(nodes, targets, derivs)
             assert np.abs(pick_matrix(data) - ref1).max() <= 1e-12 * np.abs(ref1).max()
 
@@ -596,9 +597,9 @@ class TestIsExtremal:
 
 
 def reference_minimal_norm(data):
-    A0, A1, _ = _pencil(data)
+    A0, A1, e = _pencil(data)
     top = float(_pencil_eigh(A0, A1, eigvals_only=True)[-1])
-    return float(np.sqrt(max(top, 0.0)))
+    return math.ldexp(float(np.sqrt(max(top, 0.0))), e)
 
 
 def reference_is_extremal(data):
@@ -608,15 +609,17 @@ def reference_is_extremal(data):
 
 def reference_schur_construct(data):
     """schur_construct's arithmetic without its checks, building the
-    pencil and taking cond(A0) afresh."""
-    A0, A1, _ = _pencil(data)
+    pencil and taking cond(A0) afresh: the pencil's units up to the
+    scale, which is taken back by 2^e."""
+    A0, A1, e = _pencil(data)
     mu, X = _pencil_eigh(A0, A1, eigvals_only=False)
     t = float(np.sqrt(mu[-1]))
     p = 1.0 - mu / mu[-1]
     keep = p > EXTREMAL_RTOL * np.linalg.cond(A0)
     H = A0 @ X[:, keep] * np.sqrt(p[keep])
     lams = np.asarray(data.nodes, dtype=complex)
-    values = np.asarray(data.targets, dtype=complex) / t
+    values = np.array([complex(math.ldexp(w.real, -e), math.ldexp(w.imag, -e))
+                       for w in data.targets]) / t
     Vt, *_ = np.linalg.lstsq(np.hstack([np.ones((len(lams), 1)), lams[:, None] * H]),
                              np.hstack([values[:, None], H]), rcond=None)
     zeros = np.conj(np.linalg.eigvals(Vt[1:, 1:]))
@@ -624,7 +627,7 @@ def reference_schur_construct(data):
                  axis=1)
     c = np.vdot(b0, values) / np.vdot(b0, b0)
     zeros, c, s = pick_disk._polish_blaschke(data.nodes, values, zeros, c)
-    return list(zeros), c, t * s
+    return list(zeros), c, math.ldexp(t, e) * s
 
 
 def seeded_problems(seed):
@@ -720,6 +723,60 @@ class TestCachedPencil:
             with pytest.raises(ValueError):
                 A[0, 0] = 0.0
         assert pick_matrix(data).flags.writeable
+
+
+def times_power_of_two(data, k):
+    """The data with targets and derivative values times 2^k, exactly."""
+    def scale(w):
+        return complex(math.ldexp(w.real, k), math.ldexp(w.imag, k))
+
+    return DiskPickData(nodes=data.nodes, targets=tuple(map(scale, data.targets)),
+                        derivative_constraints=tuple(
+                            (i, scale(v)) for i, v in data.derivative_constraints))
+
+
+class TestPowerOfTwoScale:
+    """Every problem's pencil divides its targets by its own 2^e, so
+    scaling the data by 2^k moves no bit but the exponent of the level."""
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("k", [-1000, -600, -300, 300, 600])
+    def test_norm_and_blaschke_scale_are_exact(self, k):
+        kinds = collections.Counter()
+        for data in seeded_problems(4):
+            scaled = times_power_of_two(data, k)
+            assert minimal_norm(scaled) == math.ldexp(minimal_norm(data), k)
+            assert not is_extremal(scaled)
+            kinds["derivative" if data.derivative_constraints else "value"] += 1
+            if not data.derivative_constraints:
+                got, want = schur_construct(scaled), schur_construct(data)
+                assert got.scale == math.ldexp(want.scale, k)
+                assert hexed(got.zeros) == hexed(want.zeros)
+                assert hexed([got.unimodular_constant]) == hexed([want.unimodular_constant])
+        assert kinds["derivative"] > 0 and kinds["value"] > 0
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("k", [-600, -530])
+    def test_tiny_targets_keep_their_norm(self, k):
+        # the squared targets underflow a float; the pencil of the scaled
+        # targets does not lose them
+        data = DiskPickData(nodes=(0.0, 0.5), targets=(0.0, math.ldexp(0.5, k)))
+        assert minimal_norm(data) == math.ldexp(minimal_norm(times_power_of_two(data, -k)), k)
+        assert minimal_norm(data) == pytest.approx(math.ldexp(1.0, k), rel=1e-15)
+        assert schur_construct(data).scale == pytest.approx(math.ldexp(1.0, k), rel=1e-15)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_subnormal_targets_give_a_finite_blaschke_product(self):
+        # the level 1e-320 is subnormal; the construction divides in the
+        # pencil's units only
+        data = DiskPickData(nodes=(0.0, 0.5), targets=(0.0, 0.5e-320))
+        got = schur_construct(data)
+        assert got.degree == 1 and abs(got.zeros[0]) < 1e-9
+        assert abs(got.unimodular_constant) == pytest.approx(1.0, rel=1e-12)
+        # 1e-320 is about 2000 subnormal spacings
+        assert minimal_norm(data) == pytest.approx(1e-320, rel=1e-3)
+        assert got.scale == pytest.approx(1e-320, rel=1e-3)
+        assert solvable(data, 1e300) and not solvable(data, 1e-321)
 
 
 def l1_minimum_lp(V, u, phases=32):
