@@ -15,8 +15,9 @@ path each nearly centred iterate gives a strictly feasible s from below and, fro
 its Newton step, a dual Y with M^r-bar o Y >= 0 whose value s + gap bounds s* from
 above (Boyd & Vandenberghe, Convex Optimization, sections 10-11).
 
-Both sides of the alternative at a level t come from that path: once s >= 1/t^2 a
-convex combination of the iterate and the start is an exact decomposition, and once
+Both sides of the alternative at a level t come from that path: an iterate at s
+is a decomposition at 1/sqrt(s) (the norm's own certificate), and at t once
+s >= 1/t^2 as a convex combination with the start; once
 s + gap < 1/t^2 the dual Y is an infeasibility kernel: a positive definite
 unit-diagonal K with every [(1 - lambda_i^r conj(lambda_j^r)) K_ij] PSD and
 [(1 - (w_i/t) conj(w_j/t)) K_ij] clearly indefinite.  Both certificates are
@@ -151,8 +152,6 @@ class Infeasible:
     kernel: DualKernel
 
 
-
-
 def _herm(X):
     return 0.5 * (X + np.conj(np.swapaxes(X, -1, -2)))
 
@@ -170,9 +169,9 @@ def _make_problem(nodes, targets, t):
     b0 = 1 - wt wt* for wt = w / t.  DomainError when b0 overflows, as
     for targets past about 1e154 at a level near 1, before any
     certificate is checked against it."""
-    wt = np.asarray(targets, dtype=complex) / t
     M0 = _coordinate_kernels(nodes)
     with np.errstate(over="ignore", invalid="ignore"):
+        wt = np.asarray(targets, dtype=complex) / t
         b0 = 1.0 - np.outer(wt, np.conj(wt))
     if not np.isfinite(b0).all():
         raise DomainError("the target matrix overflows: targets too large for the level")
@@ -524,24 +523,31 @@ def agler_feasible(data, t, optimal_certificate=False):
     except UndecidedError as exc:
         exc.t = t
         raise
+    return Feasible(_verified(dec, data, min_eig))
+
+
+def _verified(dec, data, min_eig):
+    """dec, once its factors are PSD to GAMMA_PSD_TOL (min_eig is its
+    min_eigenvalue()) and it reconstructs the target matrix at its level
+    to RECON_TOL; UndecidedError otherwise."""
     if min_eig < GAMMA_PSD_TOL:
-        raise UndecidedError("decomposition failed independent PSD verification", t=t)
+        raise UndecidedError("decomposition failed independent PSD verification", t=dec.t)
     if dec.reconstruction_residual(data) > RECON_TOL:
-        raise UndecidedError(
-            "decomposition failed independent reconstruction check", t=t
-        )
-    return Feasible(dec)
+        raise UndecidedError("decomposition failed independent reconstruction check", t=dec.t)
+    return dec
 
 
 class SchurAglerNorm(float):
-    """A float tagged with the d >= 3 caveat.  undecided_probes is kept for
+    """A float tagged with the d >= 3 caveat and the decomposition at t =
+    its value (None for a zero norm).  undecided_probes is kept for
     callers that read it and is always 0: the norm comes from one path."""
 
     undecided_probes = 0
 
-    def __new__(cls, value, caveat_flag=None):
+    def __new__(cls, value, caveat_flag=None, decomposition=None):
         obj = super().__new__(cls, value)
         obj.caveat_flag = caveat_flag
+        obj.decomposition = decomposition
         return obj
 
 
@@ -552,14 +558,16 @@ def schur_agler_norm(data):
     at a strictly feasible iterate, which is an upper bound on the
     minimal level.  It stops once that value is within a relative
     NORM_RTOL of the best lower bound so far, the path's duality-gap
-    bound 1/sqrt(s + gap).  A bracket that cannot close raises
-    UndecidedError carrying it, scaled back to the data's units (the
-    path's own s and gap stay in its units).  The path runs on the
+    bound 1/sqrt(s + gap).  The iterate's Gamma are a decomposition at
+    the returned level, verified as agler_feasible verifies its own
+    (UndecidedError if not), and ride on it.  A bracket that cannot close
+    raises UndecidedError carrying it, scaled back to the data's units
+    (the path's own s and gap stay in its units).  The path runs on the
     targets divided by 2^e (_path_problem) and the norm is scaled back
     by 2^e, so the norm of 2^k times the data is 2^k times its norm, bit
-    for bit, and DomainError says when it overflows a float.  For d <= 2
-    this is the minimal extension norm; for d >= 3 it is an upper bound,
-    and the result carries the caveat flag saying so.
+    for bit, with the same Gamma; DomainError says when it overflows.
+    For d <= 2 this is the minimal extension norm; for d >= 3 it is an
+    upper bound, and the result carries the caveat flag saying so.
     """
     if data.n > MAX_NODES:
         raise DomainError(f"at most {MAX_NODES} nodes supported, got {data.n}")
@@ -569,7 +577,7 @@ def schur_agler_norm(data):
     lo, hi = 0.0, np.inf
     M, B, start, e = _path_problem(data)
     try:
-        for s, gap, _, _ in _central_path(M, B, start, 0.0):
+        for s, gap, gam, _ in _central_path(M, B, start, 0.0):
             if s > 0.0:
                 hi = 1.0 / np.sqrt(s)
                 lo = max(lo, 1.0 / np.sqrt(s + gap))
@@ -580,9 +588,12 @@ def schur_agler_norm(data):
             exc.residuals["bracket"] = tuple(float(np.ldexp(x, e)) for x in (lo, hi))
         raise
     try:
-        return SchurAglerNorm(math.ldexp(hi, e), caveat_flag=caveat)
+        norm = math.ldexp(hi, e)
     except OverflowError:
         raise DomainError("the Schur-Agler norm overflows: targets too large") from None
+    dec = AglerDecomposition(gammas=gam, t=norm)
+    return SchurAglerNorm(norm, caveat_flag=caveat,
+                          decomposition=_verified(dec, data, dec.min_eigenvalue()))
 
 
 def _random_blaschke_factor(rng):

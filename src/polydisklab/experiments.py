@@ -39,7 +39,7 @@ import typing
 import numpy as np
 
 from . import variety as variety_mod
-from .agler import PolyPickData, agler_feasible, schur_agler_norm
+from .agler import PolyPickData, schur_agler_norm
 from .disk_geometry import pseudo_hyperbolic
 from .errors import DomainError
 from .operators import violation_witness
@@ -203,21 +203,19 @@ def extension_vs_vn(data):
     """Extension-consistency versus von Neumann violation for the data.
 
     If the minimal decomposition level is at most 1 + 1e-4 the report
-    carries a verified decomposition at that level (the extension
-    direction); otherwise it carries an operator tuple on which the
-    interpolated function exceeds norm 1 (the von Neumann direction).
+    carries the norm's own verified decomposition, at t = the norm (the
+    extension direction; None for all-zero targets); otherwise it
+    carries an operator tuple on which the interpolated function exceeds
+    norm 1 (the von Neumann direction).
     """
     norm = schur_agler_norm(data)
     if float(norm) <= 1.0 + EXTENSION_TOL:
-        # norm is a feasible level of the same barrier path, so t is too
-        t = max(1.0, float(norm) + 1e-6)
-        res = agler_feasible(data, t)
         return ExtensionVNReport(
             verdict="extension_consistent",
             norm=float(norm),
             caveat_flag=norm.caveat_flag,
-            certified_t=t,
-            decomposition=res.decomposition,
+            certified_t=float(norm),
+            decomposition=norm.decomposition,
             witness=None,
         )
     wit = violation_witness(data, t=1.0)

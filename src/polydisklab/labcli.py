@@ -23,12 +23,7 @@ import sys
 import numpy as np
 
 from . import _serialize as ser
-from .agler import (
-    Feasible,
-    PolyPickData,
-    agler_feasible,
-    schur_agler_norm,
-)
+from .agler import PolyPickData, schur_agler_norm
 from .balance import scan_balanced_pairs
 from .errors import (
     ConditioningError,
@@ -224,15 +219,13 @@ def _encode_poly_data(data):
     }
 
 
-def _encode_decomposition(dec, data=None):
-    out = {
+def _encode_decomposition(dec, data):
+    return {
         "t": dec.t,
         "gammas": [g for g in dec.gammas],
         "min_eigenvalue": dec.min_eigenvalue(),
+        "reconstruction_residual": dec.reconstruction_residual(data),
     }
-    if data is not None:
-        out["reconstruction_residual"] = dec.reconstruction_residual(data)
-    return out
 
 
 def _encode_witness(wit):
@@ -297,12 +290,9 @@ def cmd_pick_solve(args):
         result = {"kind": kind, "sa_norm": float(norm)}
         if norm.caveat_flag:
             result["caveat_flag"] = norm.caveat_flag
-        certificate = None
-        # zero targets have norm 0, and every level certifies them
-        res = agler_feasible(data, float(norm) * (1.0 + 1e-6) if norm > 0.0 else 1e-9)
-        if isinstance(res, Feasible):
-            certificate = _encode_decomposition(res.decomposition, data)
-        result["certificate"] = certificate
+        # all-zero targets have norm 0 and no decomposition at it
+        result["certificate"] = (None if norm.decomposition is None
+                                 else _encode_decomposition(norm.decomposition, data))
         human = []
     else:
         raise _UsageError(f"pick-solve expects disk_pick or poly_pick, got {kind!r}")

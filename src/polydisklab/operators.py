@@ -31,6 +31,7 @@ from .agler import (
     DualKernel,
     Feasible,
     _draw_colligation,
+    _make_problem,
     _unitary_colligations,
     agler_feasible,
 )
@@ -459,10 +460,7 @@ def violation_witness(data, t=1.0):
             t=t,
             residuals={"f_norm": f_norm, "violation": dk.violation},
         )
-    b0 = 1.0 - np.outer(
-        np.asarray(data.targets, complex) / t,
-        np.conj(np.asarray(data.targets, complex) / t),
-    )
+    _, b0 = _make_problem(data.nodes, data.targets, t)
     A = 0.5 * (b0 * dk.K + (b0 * dk.K).conj().T)
     evals, evecs = np.linalg.eigh(A)
     u = evecs[:, 0]

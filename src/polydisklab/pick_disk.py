@@ -12,9 +12,9 @@ the origin test from a dual barrier path that brackets the minimal l1
 norm; its verdict uses the bracket's lower end.
 
 Each DiskPickData builds its pencil once, lazily, and caches it with its
-top eigenvalue and cond(A0), so minimal_norm, is_extremal,
-schur_construct, solvable and pick_matrix on one data object share one
-pencil, one eigenvalues-only solve and one condition number.  The pencil
+generalized eigendecomposition and cond(A0), so minimal_norm,
+is_extremal, schur_construct, solvable and pick_matrix on one data object
+share one pencil, one eigensolve and one condition number.  The pencil
 is that of the targets and derivative values divided by the power of two
 2^e that brings their largest real or imaginary part into [1/2, 1), and
 levels are scaled back by 2^e.  The minimal norm is homogeneous in the
@@ -70,8 +70,8 @@ class DiskPickData:
 
     The solvers read three lazy attributes, each computed at most once
     per object and then cached: pencil, the read-only (A0, A1, e) of
-    _pencil; pencil_top, the largest eigenvalue of that pencil; and
-    gram_condition, cond(A0).  They are not fields, so ==, hash and
+    _pencil; pencil_eig, the read-only (mu, X) of _pencil_eigh on it;
+    and gram_condition, cond(A0).  They are not fields, so ==, hash and
     dataclasses.replace ignore them.
     """
 
@@ -119,9 +119,11 @@ class DiskPickData:
         return _pencil(self)
 
     @functools.cached_property
-    def pencil_top(self):
-        A0, A1, _ = self.pencil
-        return float(_pencil_eigh(A0, A1, eigvals_only=True)[-1])
+    def pencil_eig(self):
+        eig = _pencil_eigh(*self.pencil[:2])
+        for a in eig:
+            a.setflags(write=False)
+        return eig
 
     @functools.cached_property
     def gram_condition(self):
@@ -231,12 +233,12 @@ def solvable(data, t):
     return float(np.linalg.eigvalsh(_pick_at(data, t)).min()) >= PSD_TOL
 
 
-def _pencil_eigh(A0, A1, eigvals_only):
-    """Ascending eigenvalues (and A0-orthonormal eigenvectors unless
-    eigvals_only) of the pencil (A1, A0).  _pencil's entries are always
-    finite, so scipy's own finiteness check is skipped."""
+def _pencil_eigh(A0, A1):
+    """Ascending eigenvalues mu and A0-orthonormal eigenvectors X of the
+    pencil (A1, A0).  _pencil's entries are always finite, so scipy's own
+    finiteness check is skipped."""
     try:
-        return eigh(A1, A0, eigvals_only=eigvals_only, check_finite=False)
+        return eigh(A1, A0, check_finite=False)
     except np.linalg.LinAlgError as exc:
         raise ConditioningError(
             "generalized eigensolve failed; the Szegő Gram matrix of the "
@@ -252,7 +254,7 @@ def minimal_norm(data):
     square root of the largest eigenvalue of the pencil (A1, A0), found by
     one generalized Hermitian eigensolve, scaled back by the 2^e the
     pencil divided the targets by.  The data object caches the pencil and
-    that eigenvalue for is_extremal and schur_construct.  The relative
+    its eigensolve for is_extremal and schur_construct.  The relative
     error is below NORM_RTOL * cond(A0) = 1e-15 * cond(A0), where A0 is
     the Szegő Gram matrix of the constraints: 1e-12 at cond(A0) = 1e3,
     4e-3 for two nodes 1e-6 apart (cond(A0) = 4e12; the error there is
@@ -260,7 +262,7 @@ def minimal_norm(data):
     definite, and DomainError when the norm overflows a float.
     """
     # A0 - A1/t^2 is PSD iff t^2 >= every eigenvalue of the pencil (A1, A0).
-    return _unscaled(data, float(np.sqrt(max(data.pencil_top, 0.0))))
+    return _unscaled(data, float(np.sqrt(max(data.pencil_eig[0][-1], 0.0))))
 
 
 def is_extremal(data):
@@ -286,10 +288,10 @@ def schur_construct(data):
     product of degree r whose zeros are conj(eig(D)).  V comes from one
     least-squares solve over all nodes, the unimodular constant from a
     least-squares fit on the nodes, and _polish_blaschke refines both.
-    The interpolation residual is verified to INTERP_TOL.  The pencil and
-    cond(A0) are the data's cached ones; the eigenvectors come from a
-    solve of its own.  Everything up to the scale works in the pencil's
-    units, v_i = (2^-e w_i) / (2^-e t), so no division meets a
+    The interpolation residual is verified to INTERP_TOL.  The pencil, its
+    eigendecomposition and cond(A0) are the data's cached ones, which
+    minimal_norm reads too.  Everything up to the scale works in the
+    pencil's units, v_i = (2^-e w_i) / (2^-e t), so no division meets a
     subnormal level, and only the scale is taken back by 2^e.
     """
     if data.derivative_constraints:
@@ -297,8 +299,8 @@ def schur_construct(data):
             "schur_construct supports value constraints only; derivative "
             "data is handled by the solvability tests"
         )
-    A0, A1, e = data.pencil
-    mu, X = _pencil_eigh(A0, A1, eigvals_only=False)
+    A0, _, e = data.pencil
+    mu, X = data.pencil_eig
     if not mu[-1] > 0.0:
         raise DegenerateDataError(
             "identically zero data has no Blaschke representation"

@@ -282,7 +282,9 @@ class TestSchurAglerNorm:
     def test_zero_targets(self):
         data = PolyPickData(d=2, nodes=((0.0, 0.0), (0.3, -0.2)),
                             targets=(0.0, 0.0))
-        assert schur_agler_norm(data) == 0.0
+        norm = schur_agler_norm(data)
+        assert norm == 0.0
+        assert norm.decomposition is None
 
     def test_d3_carries_caveat(self):
         data = PolyPickData(d=3, nodes=((0.0, 0.0, 0.0), (0.3, 0.3, 0.3)),
@@ -332,6 +334,28 @@ class TestSchurAglerNorm:
             assert norm.undecided_probes == 0
 
 
+    def test_decomposition_sits_at_the_norm(self):
+        # retract data l -> (l, 0.9 u m_a(l), l m_b(l)) with Blaschke
+        # targets, d = 1..3: the norm's own iterate certifies it
+        rng = np.random.default_rng(7)
+        for d in (1, 2, 3):
+            for n in (2, 4, 6):
+                lam = separated_disk(rng, n, rmax=0.75, min_rho=0.2)
+                a, b = random_disk(rng, 2, rmax=0.5)
+                coords = (lam, 0.9 * np.exp(2j * np.pi * rng.random()) * mobius(a, lam),
+                          lam * mobius(b, lam))
+                zeros = random_disk(rng, 2, rmax=0.8)
+                w = np.exp(2j * np.pi * rng.random()) * mobius(zeros[0], lam) \
+                    * mobius(zeros[1], lam)
+                data = PolyPickData(d=d, nodes=tuple(zip(*coords[:d])), targets=tuple(w))
+                norm = schur_agler_norm(data)
+                dec = norm.decomposition
+                assert dec.t == float(norm)
+                assert len(dec.gammas) == d
+                assert dec.min_eigenvalue() >= agler.GAMMA_PSD_TOL
+                assert dec.reconstruction_residual(data) <= agler.RECON_TOL
+
+
 def times_scale(data, c):
     """The data with its targets times c; exact for a power of two c."""
     return PolyPickData(d=data.d, nodes=data.nodes,
@@ -364,8 +388,12 @@ class TestTargetScale:
     def test_power_of_two_scaling_is_exact(self, name):
         data = SCALE_CASES[name]
         norm = float(schur_agler_norm(data))
+        gammas = [g.tobytes() for g in schur_agler_norm(data).decomposition.gammas]
         for k in (-1000, -600, -300, 300, 600, 1000):
-            assert schur_agler_norm(times_scale(data, 2.0 ** k)) == math.ldexp(norm, k)
+            scaled = schur_agler_norm(times_scale(data, 2.0 ** k))
+            assert scaled == math.ldexp(norm, k)
+            assert scaled.decomposition.t == float(scaled)
+            assert [g.tobytes() for g in scaled.decomposition.gammas] == gammas
         for f in (0.99, 1.01):
             want = certificate_bytes(agler_feasible(data, f * norm))
             for k in (-1000, -300, 300, 1000):

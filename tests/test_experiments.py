@@ -21,7 +21,7 @@ from polydisklab import (
     sample_variety,
     schur_agler_norm,
 )
-from polydisklab import experiments, labcli
+from polydisklab import agler, experiments, labcli
 from polydisklab.agler import CAVEAT_D3
 from polydisklab.disk_geometry import pseudo_hyperbolic
 from polydisklab.errors import DomainError
@@ -304,18 +304,30 @@ class TestExg1ClosedForm:
 
 
 class TestExtensionVsVN:
-    def test_consistent_on_polynomial_graph(self):
-        # nodes on the graph z3 = z1 z2 / 2
+    def test_consistent_on_polynomial_graph(self, monkeypatch):
+        # nodes on the graph z3 = z1 z2 / 2; they share no coordinate, so
+        # the path's start needs no path of its own, and one path gives
+        # the norm and the decomposition at it
         nodes = ((0.0, 0.0, 0.0), (0.5, 0.5, 0.125), (0.6, -0.4, -0.12))
         data = PolyPickData(d=3, nodes=nodes,
                             targets=tuple(p[2] for p in nodes))
+        paths = []
+
+        def counted(*args):
+            paths.append(args)
+            return central_path(*args)
+
+        central_path = agler._central_path
+        monkeypatch.setattr(agler, "_central_path", counted)
         rep = extension_vs_vn(data)
+        assert len(paths) == 1
         assert rep.verdict == "extension_consistent"
         assert rep.norm <= 1.0 + 1e-4
         assert rep.decomposition is not None
         assert rep.witness is None
-        assert rep.certified_t >= rep.norm
-        assert rep.decomposition.reconstruction_residual(data) <= 1e-7
+        assert rep.certified_t == rep.norm == rep.decomposition.t
+        assert rep.decomposition.min_eigenvalue() >= agler.GAMMA_PSD_TOL
+        assert rep.decomposition.reconstruction_residual(data) <= agler.RECON_TOL
         assert rep.caveat_flag == CAVEAT_D3
 
     def test_violation_on_canonical_pair(self):

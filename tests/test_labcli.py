@@ -9,7 +9,7 @@ import pytest
 
 from polydisklab import agler, labcli
 from polydisklab._serialize import dumps_canonical
-from polydisklab.errors import ConditioningError, UndecidedError
+from polydisklab.errors import ConditioningError
 from polydisklab.experiments import circle_image_test
 from polydisklab.labcli import _UsageError, main, parse_complex, parse_pair
 
@@ -143,7 +143,7 @@ class TestPickSolve:
         assert main(["pick-solve", path, "--json"]) == 0
         out = json.loads(capsys.readouterr().out)
         assert out["sa_norm"] == pytest.approx(2e160, rel=1e-9)
-        assert out["certificate"]["t"] == pytest.approx(2e160, rel=2e-6)
+        assert out["certificate"]["t"] == out["sa_norm"]
         assert out["certificate"]["reconstruction_residual"] <= 1e-7
 
     def test_tiny_poly_targets_certify_at_their_norm(self, tmp_path, capsys):
@@ -153,22 +153,53 @@ class TestPickSolve:
         assert main(["pick-solve", path, "--json"]) == 0
         out = json.loads(capsys.readouterr().out)
         assert out["sa_norm"] == pytest.approx(2e-100, rel=1e-9)
-        assert out["certificate"]["t"] == pytest.approx(2e-100, rel=2e-6)
+        assert out["certificate"]["t"] == out["sa_norm"]
 
-    def test_poly_problem_canonical(self, poly_problem, capsys):
+    def test_poly_problem_canonical(self, poly_problem, monkeypatch, capsys):
+        # the nodes share no coordinate, so the path's start needs no path
+        # of its own: one path gives the norm and the certificate at it
+        paths = []
+
+        def counted(*args):
+            paths.append(args)
+            return central_path(*args)
+
+        central_path = agler._central_path
+        monkeypatch.setattr(agler, "_central_path", counted)
         assert main(["pick-solve", poly_problem]) == 0
         out = json.loads(capsys.readouterr().out)
+        assert len(paths) == 1
         assert out["sa_norm"] == pytest.approx(1.4, abs=1e-4)
         assert "caveat_flag" not in out
+        assert out["certificate"]["t"] == out["sa_norm"]
+        assert out["certificate"]["min_eigenvalue"] >= agler.GAMMA_PSD_TOL
+        assert out["certificate"]["reconstruction_residual"] <= agler.RECON_TOL
 
     def test_undecided_certificate_exits_2(self, poly_problem, monkeypatch, capsys):
-        # an undecided certificate is reported, not printed as a null one
-        def undecided(data, t, **kwargs):
-            raise UndecidedError("forced", t=t)
-
-        monkeypatch.setattr(labcli, "agler_feasible", undecided)
+        # a decomposition that fails the norm's own verification is
+        # reported undecided, not printed as a null certificate
+        monkeypatch.setattr(agler.AglerDecomposition, "min_eigenvalue", lambda self: -1.0)
         assert main(["pick-solve", poly_problem]) == 2
         assert capsys.readouterr().out == ""
+
+    def test_zero_poly_targets_give_null_certificate(self, tmp_path, capsys):
+        path = write_problem(tmp_path / "zero.json", "poly_pick",
+                             {"d": 2, "nodes": POLY_NODES, "targets": [[0.0, 0.0], [0.0, 0.0]]})
+        assert main(["pick-solve", path, "--json"]) == 0
+        out = json.loads(capsys.readouterr().out)
+        assert out["sa_norm"] == 0.0
+        assert out["certificate"] is None
+
+    def test_norm_near_the_largest_float_is_certified(self, tmp_path, capsys):
+        # a level just past the norm would overflow a float
+        path = write_problem(tmp_path / "top.json", "poly_pick",
+                             {"d": 2, "nodes": POLY_NODES,
+                              "targets": [[0.0, 0.0], [0.5 * 1.797692e308, 0.0]]})
+        assert main(["pick-solve", path, "--json"]) == 0
+        out = json.loads(capsys.readouterr().out)
+        assert out["sa_norm"] == pytest.approx(1.797692e308, rel=1e-9)
+        assert out["certificate"]["t"] == out["sa_norm"]
+        assert out["certificate"]["reconstruction_residual"] <= agler.RECON_TOL
 
     @staticmethod
     def singular(monkeypatch, name):
@@ -380,7 +411,7 @@ class TestExperiments:
 
     def test_ext_vs_vn_extension_consistent(self, tmp_path, capsys):
         # halving the exg1 targets puts the norm well below 1, so the
-        # report carries a decomposition at level 1 instead of a witness
+        # report carries the decomposition at the norm instead of a witness
         assert main(["experiment", "ext-vs-vn", "--m", "0.9", "--scale", "0.5",
                      "--json", "--out-dir", str(tmp_path)]) == 0
         out = json.loads(capsys.readouterr().out)
@@ -389,7 +420,8 @@ class TestExperiments:
         assert out["caveat_flag"] == "schur-agler-upper-bound"
         assert "witness" not in out
         dec = out["decomposition"]
-        assert dec["t"] == 1.0
+        assert dec["t"] == out["norm"] <= 1.0
+        assert out["certified_t"] == out["norm"]
         assert dec["min_eigenvalue"] >= agler.GAMMA_PSD_TOL
         assert dec["reconstruction_residual"] <= agler.RECON_TOL
 

@@ -598,7 +598,7 @@ class TestIsExtremal:
 
 def reference_minimal_norm(data):
     A0, A1, e = _pencil(data)
-    top = float(_pencil_eigh(A0, A1, eigvals_only=True)[-1])
+    top = float(_pencil_eigh(A0, A1)[0][-1])
     return math.ldexp(float(np.sqrt(max(top, 0.0))), e)
 
 
@@ -612,7 +612,7 @@ def reference_schur_construct(data):
     pencil and taking cond(A0) afresh: the pencil's units up to the
     scale, which is taken back by 2^e."""
     A0, A1, e = _pencil(data)
-    mu, X = _pencil_eigh(A0, A1, eigvals_only=False)
+    mu, X = _pencil_eigh(A0, A1)
     t = float(np.sqrt(mu[-1]))
     p = 1.0 - mu / mu[-1]
     keep = p > EXTREMAL_RTOL * np.linalg.cond(A0)
@@ -708,20 +708,21 @@ class TestCachedPencil:
             schur_construct(data)
             pick_matrix(data)
             solvable(data, 1.0)
-        assert counts == {"pencil": 1, "eigh values": 1, "cond": 1, "eigh vectors": 2}
+        assert counts == {"pencil": 1, "eigh vectors": 1, "cond": 1}
         assert data == twin and hash(data) == before == hash(twin)
         fresh = dataclasses.replace(data)
         assert fresh == data
         minimal_norm(fresh)
-        assert counts["pencil"] == 2 and counts["eigh values"] == 2
+        assert counts["pencil"] == 2 and counts["eigh vectors"] == 2
+        assert counts["eigh values"] == 0
         assert fresh.pencil[0] is not data.pencil[0]
 
     def test_cached_arrays_refuse_writes(self):
         data = DiskPickData(nodes=(0.0, 0.5), targets=(0.0, 0.25),
                             derivative_constraints=((1, 1.0),))
-        for A in data.pencil[:2]:
+        for A in data.pencil[:2] + data.pencil_eig:
             with pytest.raises(ValueError):
-                A[0, 0] = 0.0
+                A[..., 0] = 0.0
         assert pick_matrix(data).flags.writeable
 
 
